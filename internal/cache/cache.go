@@ -328,6 +328,16 @@ func (c *Cache) FlushAll() {
 	c.stats.Cycles += c.cfg.FlushLatency
 }
 
+// Reset returns the cache to exactly the state New left it in: every
+// line invalid, the policy's history discarded and the counters zeroed.
+// It reuses the cache's storage, so a platform can run many sessions on
+// one Cache without reallocating it.
+func (c *Cache) Reset() {
+	clear(c.lines)
+	c.policy.Reset(c.cfg.Sets, c.cfg.Ways)
+	c.stats = Stats{}
+}
+
 // ResidentLines returns the base addresses of all currently resident
 // lines, in unspecified order. Used by experiment plumbing and tests.
 func (c *Cache) ResidentLines() []uint64 {

@@ -390,3 +390,75 @@ func TestPolicyByName(t *testing.T) {
 		t.Error("unknown policy name did not return nil")
 	}
 }
+
+// TestResetMatchesNew drives a cache through accesses, flushes and
+// evictions, resets it and replays the same sequence: every result and
+// the final counters must match a freshly built cache's, for each
+// policy.
+func TestResetMatchesNew(t *testing.T) {
+	policies := map[string]func() Policy{
+		"lru":    NewLRU,
+		"fifo":   NewFIFO,
+		"random": func() Policy { return NewRandom(7) },
+		"plru":   NewPLRU,
+	}
+	for name, mk := range policies {
+		t.Run(name, func(t *testing.T) {
+			cfg := smallConfig()
+			replay := func(c *Cache) ([]Result, Stats) {
+				var out []Result
+				r := rng.New(3)
+				for i := 0; i < 400; i++ {
+					addr := r.Uint64() % 256
+					switch r.Intn(40) {
+					case 0:
+						c.FlushAll()
+					case 1, 2, 3:
+						c.FlushLine(addr)
+					case 4, 5:
+						c.FlushRange(addr, 9)
+					default:
+						out = append(out, c.Access(addr))
+					}
+				}
+				return out, c.Stats()
+			}
+			cfg.Policy = mk()
+			fresh, freshStats := replay(MustNew(cfg))
+			cfg.Policy = mk()
+			c := MustNew(cfg)
+			replay(c)
+			c.Reset()
+			if got := c.ResidentLines(); len(got) != 0 {
+				t.Fatalf("Reset left resident lines %v", got)
+			}
+			again, againStats := replay(c)
+			if againStats != freshStats {
+				t.Fatalf("stats after Reset %+v, fresh %+v", againStats, freshStats)
+			}
+			if len(again) != len(fresh) {
+				t.Fatalf("%d results after Reset, %d fresh", len(again), len(fresh))
+			}
+			for i := range fresh {
+				if again[i] != fresh[i] {
+					t.Fatalf("access %d after Reset %+v, fresh %+v", i, again[i], fresh[i])
+				}
+			}
+		})
+	}
+}
+
+// TestResetDoesNotAllocate: platforms reset one cache per session, so
+// Reset (and FlushAll, which resets the policy) must reuse storage.
+func TestResetDoesNotAllocate(t *testing.T) {
+	c := MustNew(PaperConfig(1))
+	for i := uint64(0); i < 64; i++ {
+		c.Access(i * 3)
+	}
+	if n := testing.AllocsPerRun(100, c.Reset); n != 0 {
+		t.Errorf("LRU Reset allocates %v times", n)
+	}
+	if n := testing.AllocsPerRun(100, c.FlushAll); n != 0 {
+		t.Errorf("FlushAll allocates %v times", n)
+	}
+}

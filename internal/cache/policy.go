@@ -38,7 +38,18 @@ func (p *lru) Name() string { return "lru" }
 func (p *lru) Reset(sets, ways int) {
 	p.ways = ways
 	p.clock = 0
-	p.last = make([]uint64, sets*ways)
+	p.last = zeroed(p.last, sets*ways)
+}
+
+// zeroed returns s resized to n zero entries, reusing its backing array
+// when it is large enough.
+func zeroed(s []uint64, n int) []uint64 {
+	if cap(s) < n {
+		return make([]uint64, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 func (p *lru) stamp(set, way int) {
@@ -79,7 +90,7 @@ func (p *fifo) Name() string { return "fifo" }
 func (p *fifo) Reset(sets, ways int) {
 	p.ways = ways
 	p.clock = 0
-	p.fill = make([]uint64, sets*ways)
+	p.fill = zeroed(p.fill, sets*ways)
 }
 
 func (p *fifo) Touch(int, int) {}

@@ -54,17 +54,14 @@ type Stats struct {
 	WaitTime  sim.Time // time lost to link contention
 }
 
-type link struct {
-	tail sim.Time // release time of the last packet on this link
-}
-
 // Mesh is the network. One Mesh belongs to one kernel.
 type Mesh struct {
 	cfg   Config
 	k     *sim.Kernel
 	clock sim.Clock
-	// links[from][to] for adjacent tiles, keyed by flattened indices.
-	links map[[2]int]*link
+	// tails[4*index(from)+dir] is the release time of the last packet
+	// on the link leaving tile from in direction dir (see nextHop).
+	tails []sim.Time
 	stats Stats
 }
 
@@ -73,7 +70,7 @@ func New(k *sim.Kernel, clock sim.Clock, cfg Config) (*Mesh, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Mesh{cfg: cfg, k: k, clock: clock, links: map[[2]int]*link{}}, nil
+	return &Mesh{cfg: cfg, k: k, clock: clock, tails: make([]sim.Time, 4*cfg.Width*cfg.Height)}, nil
 }
 
 // MustNew is New for known-good configurations.
@@ -94,28 +91,40 @@ func (m *Mesh) contains(c Coord) bool {
 	return c.X >= 0 && c.X < m.cfg.Width && c.Y >= 0 && c.Y < m.cfg.Height
 }
 
-// Route returns the XY path from src to dst, inclusive of both
-// endpoints: all X movement first, then all Y movement.
-func (m *Mesh) Route(src, dst Coord) []Coord {
+// nextHop returns the tile after cur on the XY route to dst (all X
+// movement first, then all Y movement) and the direction of the link
+// between them: 0 = +X, 1 = −X, 2 = +Y, 3 = −Y. cur must differ from
+// dst.
+func nextHop(cur, dst Coord) (Coord, int) {
+	switch {
+	case cur.X < dst.X:
+		cur.X++
+		return cur, 0
+	case cur.X > dst.X:
+		cur.X--
+		return cur, 1
+	case cur.Y < dst.Y:
+		cur.Y++
+		return cur, 2
+	default:
+		cur.Y--
+		return cur, 3
+	}
+}
+
+func (m *Mesh) checkRoute(src, dst Coord) {
 	if !m.contains(src) || !m.contains(dst) {
 		panic(fmt.Sprintf("noc: route %v→%v outside %dx%d mesh", src, dst, m.cfg.Width, m.cfg.Height))
 	}
+}
+
+// Route returns the XY path from src to dst, inclusive of both
+// endpoints: all X movement first, then all Y movement.
+func (m *Mesh) Route(src, dst Coord) []Coord {
+	m.checkRoute(src, dst)
 	path := []Coord{src}
-	cur := src
-	for cur.X != dst.X {
-		if cur.X < dst.X {
-			cur.X++
-		} else {
-			cur.X--
-		}
-		path = append(path, cur)
-	}
-	for cur.Y != dst.Y {
-		if cur.Y < dst.Y {
-			cur.Y++
-		} else {
-			cur.Y--
-		}
+	for cur := src; cur != dst; {
+		cur, _ = nextHop(cur, dst)
 		path = append(path, cur)
 	}
 	return path
@@ -144,16 +153,6 @@ func (m *Mesh) flits(payloadBytes int) uint64 {
 	return n
 }
 
-func (m *Mesh) linkFor(a, b Coord) *link {
-	key := [2]int{m.index(a), m.index(b)}
-	l, ok := m.links[key]
-	if !ok {
-		l = &link{}
-		m.links[key] = l
-	}
-	return l
-}
-
 // Send transports a packet from src to dst, blocking the calling process
 // until the tail flit arrives. It returns the end-to-end latency.
 // Store-and-forward at packet granularity: each link is held for the
@@ -161,22 +160,24 @@ func (m *Mesh) linkFor(a, b Coord) *link {
 // model deterministic.
 func (m *Mesh) Send(p *sim.Proc, src, dst Coord, payloadBytes int) sim.Time {
 	start := p.Now()
-	path := m.Route(src, dst)
+	m.checkRoute(src, dst)
 	nflits := m.flits(payloadBytes)
 	serial := m.clock.Cycles(nflits * m.cfg.LinkCycles)
 	hop := m.clock.Cycles(m.cfg.RouterCycles)
 
 	t := start + hop // source router traversal
-	for i := 0; i+1 < len(path); i++ {
-		l := m.linkFor(path[i], path[i+1])
+	for cur := src; cur != dst; {
+		next, dir := nextHop(cur, dst)
+		tail := &m.tails[4*m.index(cur)+dir]
 		grant := t
-		if l.tail > grant {
-			grant = l.tail
+		if *tail > grant {
+			grant = *tail
 		}
 		m.stats.WaitTime += grant - t
-		l.tail = grant + serial
-		t = l.tail + hop // downstream router traversal
+		*tail = grant + serial
+		t = *tail + hop // downstream router traversal
 		m.stats.Hops++
+		cur = next
 	}
 	m.stats.Packets++
 	m.stats.TotalTime += t - start

@@ -59,6 +59,7 @@ type Task struct {
 	sched     *Scheduler
 	proc      *sim.Proc
 	grant     *sim.Queue[struct{}]
+	onGrant   func()   // t.grantSlice, bound once
 	granted   bool     // the pending grant event has fired for us
 	sliceEnd  sim.Time // absolute time the current slice expires
 	queued    bool
@@ -71,6 +72,7 @@ type Task struct {
 func (s *Scheduler) Spawn(name string, body func(t *Task)) *Task {
 	t := &Task{name: name, sched: s}
 	t.grant = sim.NewQueue[struct{}](s.k)
+	t.onGrant = t.grantSlice
 	t.proc = s.k.Spawn(name, func(p *sim.Proc) {
 		t.enqueue()
 		t.waitTurn()
@@ -113,18 +115,22 @@ func (s *Scheduler) kick() {
 		return
 	}
 	next := s.ready[0]
-	s.ready = s.ready[1:]
+	s.ready = append(s.ready[:0], s.ready[1:]...)
 	next.queued = false
 	s.current = next
 	s.switches++
-	s.k.Schedule(s.clock.Cycles(s.cfg.CtxSwitchCycles), func() {
-		if s.current != next {
-			return // task released the CPU before the switch completed
-		}
-		next.sliceEnd = s.k.Now() + s.cfg.Quantum
-		next.granted = true
-		next.grant.Send(struct{}{})
-	})
+	s.k.Schedule(s.clock.Cycles(s.cfg.CtxSwitchCycles), next.onGrant)
+}
+
+// grantSlice completes a context switch to t by starting its slice.
+func (t *Task) grantSlice() {
+	s := t.sched
+	if s.current != t {
+		return // task released the CPU before the switch completed
+	}
+	t.sliceEnd = s.k.Now() + s.cfg.Quantum
+	t.granted = true
+	t.grant.Send(struct{}{})
 }
 
 // running reports whether t currently owns the core with a live slice.

@@ -15,7 +15,6 @@ import (
 	"container/heap"
 	"errors"
 	"fmt"
-	"sync/atomic"
 )
 
 // Time is virtual time in picoseconds.
@@ -75,6 +74,9 @@ type Event struct {
 	fn        func()
 	index     int // heap index; -1 when not queued
 	cancelled bool
+	// pooled marks the kernel's own process wake-ups, which never
+	// escape to callers and are recycled once they fire.
+	pooled bool
 }
 
 type eventHeap []*Event
@@ -111,6 +113,7 @@ type Kernel struct {
 	now      Time
 	seq      uint64
 	events   eventHeap
+	free     []*Event // fired wake-up events awaiting reuse
 	procs    []*Proc
 	stopping bool
 }
@@ -131,13 +134,33 @@ func (k *Kernel) Schedule(delay Time, fn func()) *Event {
 
 // At runs fn at absolute time t, which must not be in the past.
 func (k *Kernel) At(t Time, fn func()) *Event {
+	e := &Event{}
+	k.enqueue(e, t, fn)
+	return e
+}
+
+// enqueue stamps e with the next schedule-order number and queues it.
+func (k *Kernel) enqueue(e *Event, t Time, fn func()) {
 	if t < k.now {
 		panic(fmt.Sprintf("sim: scheduling into the past (%v < %v)", t, k.now))
 	}
 	k.seq++
-	e := &Event{at: t, seq: k.seq, fn: fn, index: -1}
+	e.at, e.seq, e.fn = t, k.seq, fn
 	heap.Push(&k.events, e)
-	return e
+}
+
+// wake schedules p's resumption after delay on a recycled event. It
+// consumes a schedule-order number exactly like Schedule, so pooling
+// never reorders the simulation.
+func (k *Kernel) wake(delay Time, p *Proc) {
+	var e *Event
+	if n := len(k.free); n > 0 {
+		e = k.free[n-1]
+		k.free = k.free[:n-1]
+	} else {
+		e = &Event{pooled: true}
+	}
+	k.enqueue(e, k.now+delay, p.wake)
 }
 
 // Cancel removes a pending event. Cancelling a fired or already-cancelled
@@ -160,7 +183,12 @@ func (k *Kernel) Step() bool {
 			continue
 		}
 		k.now = e.at
-		e.fn()
+		fn := e.fn
+		if e.pooled {
+			e.fn = nil
+			k.free = append(k.free, e)
+		}
+		fn()
 		return true
 	}
 	return false
@@ -168,7 +196,8 @@ func (k *Kernel) Step() bool {
 
 // Run fires events until the queue drains (or Stop is called). Processes
 // blocked forever on queues do not keep Run alive; a drained queue with
-// parked processes is the simulation's deadlock/quiescence state.
+// parked processes is the simulation's deadlock/quiescence state. Every
+// process goroutine has exited by the time Run returns.
 func (k *Kernel) Run() {
 	for !k.stopping && k.Step() {
 	}
@@ -196,7 +225,8 @@ func (k *Kernel) RunUntil(t Time) {
 // all parked processes.
 func (k *Kernel) Stop() { k.stopping = true }
 
-// finish tears down parked processes so their goroutines exit.
+// finish tears down parked processes, waiting for each goroutine to
+// unwind.
 func (k *Kernel) finish() {
 	k.stopping = true
 	for _, p := range k.procs {
@@ -211,15 +241,20 @@ var errKilled = errors.New("sim: process killed")
 // Proc is a coroutine-style simulation process. Its body runs on its own
 // goroutine but never concurrently with the kernel or another process:
 // control passes explicitly through Wait and queue operations.
+//
+// The handoff is two unbuffered channels. The kernel sends on resume to
+// run the process (true asks it to unwind instead) and blocks on parked
+// until the process parks again or exits. Every field is therefore only
+// touched by whichever side holds control, and each channel operation
+// orders those accesses.
 type Proc struct {
-	k      *Kernel
-	name   string
-	resume chan struct{}
-	parked chan struct{}
-	// dead is atomic: a process marks itself dead on its own goroutine
-	// while the kernel may concurrently kill() it during shutdown.
-	dead   atomic.Bool
-	killed chan struct{}
+	k       *Kernel
+	name    string
+	wake    func() // p.dispatch, bound once
+	resume  chan bool
+	parked  chan struct{}
+	started bool // the goroutine exists
+	dead    bool // the body returned or is unwinding
 }
 
 // Spawn starts a process at the current time. The body begins executing
@@ -228,58 +263,68 @@ func (k *Kernel) Spawn(name string, body func(p *Proc)) *Proc {
 	p := &Proc{
 		k:      k,
 		name:   name,
-		resume: make(chan struct{}),
+		resume: make(chan bool),
 		parked: make(chan struct{}),
-		killed: make(chan struct{}),
 	}
+	p.wake = p.dispatch
 	k.procs = append(k.procs, p)
 	k.Schedule(0, func() {
-		go func() {
-			defer func() {
-				if r := recover(); r != nil && r != errKilled {
-					panic(r)
-				}
-				p.dead.Store(true)
-				select {
-				case p.parked <- struct{}{}:
-				case <-p.killed:
-				}
-			}()
-			<-p.resume
-			body(p)
-		}()
+		p.started = true
+		go p.run(body)
 		p.dispatch()
 	})
 	return p
 }
 
+// run is the process goroutine: it waits for its first resume, runs the
+// body and reports its exit as a final park.
+func (p *Proc) run(body func(p *Proc)) {
+	defer func() {
+		if r := recover(); r != nil && r != errKilled {
+			panic(r)
+		}
+		p.dead = true
+		p.parked <- struct{}{}
+	}()
+	if !<-p.resume {
+		body(p)
+	}
+}
+
 // dispatch hands control to the process and waits for it to park or die.
 // Runs on the kernel's goroutine.
 func (p *Proc) dispatch() {
-	if p.dead.Load() {
+	if p.dead {
 		return
 	}
-	p.resume <- struct{}{}
+	p.resume <- false
 	<-p.parked
 }
 
 // park returns control to the kernel; the process blocks until its next
 // resume event fires.
 func (p *Proc) park() {
+	if p.dead {
+		// Unwinding: a deferred Wait must not hand control back.
+		panic(errKilled)
+	}
 	p.parked <- struct{}{}
-	select {
-	case <-p.resume:
-	case <-p.killed:
+	if <-p.resume {
 		panic(errKilled)
 	}
 }
 
-// kill terminates a parked process goroutine.
+// kill unwinds a parked process and waits until its goroutine has run
+// its deferred calls and exited.
 func (p *Proc) kill() {
-	if p.dead.Swap(true) {
+	if p.dead {
 		return
 	}
-	close(p.killed)
+	p.dead = true
+	if p.started {
+		p.resume <- true
+		<-p.parked
+	}
 }
 
 // Name returns the process name (for traces).
@@ -293,7 +338,7 @@ func (p *Proc) Now() Time { return p.k.now }
 
 // Wait suspends the process for d of virtual time.
 func (p *Proc) Wait(d Time) {
-	p.k.Schedule(d, p.dispatch)
+	p.k.wake(d, p)
 	p.park()
 }
 
@@ -330,8 +375,8 @@ func (q *Queue[T]) Send(v T) {
 	q.items = append(q.items, v)
 	if len(q.waiters) > 0 {
 		w := q.waiters[0]
-		q.waiters = q.waiters[1:]
-		q.k.Schedule(0, w.dispatch)
+		q.waiters = popFront(q.waiters)
+		q.k.wake(0, w)
 	}
 }
 
@@ -342,7 +387,7 @@ func (q *Queue[T]) Recv(p *Proc) T {
 		p.park()
 	}
 	v := q.items[0]
-	q.items = q.items[1:]
+	q.items = popFront(q.items)
 	return v
 }
 
@@ -352,6 +397,18 @@ func (q *Queue[T]) TryRecv() (v T, ok bool) {
 		return v, false
 	}
 	v = q.items[0]
-	q.items = q.items[1:]
+	q.items = popFront(q.items)
 	return v, true
+}
+
+// popFront drops s[0]. Emptying the slice rewinds it to the start of its
+// remaining capacity, so a queue that drains between sends stops
+// reallocating.
+func popFront[T any](s []T) []T {
+	var zero T
+	s[0] = zero
+	if len(s) == 1 {
+		return s[:0]
+	}
+	return s[1:]
 }

@@ -344,3 +344,84 @@ func TestSpawnAfterTimeAdvanced(t *testing.T) {
 		t.Fatalf("late-spawned proc started at %v", start)
 	}
 }
+
+// TestKillIsSynchronous checks that shutting a kernel down unwinds every
+// parked process before Run/RunUntil returns: each body's deferred
+// cleanup has run, so no process goroutine outlives the simulation.
+func TestKillIsSynchronous(t *testing.T) {
+	cases := []struct {
+		name string
+		run  func(k *Kernel)
+		stop bool
+	}{
+		{"quiesce/Run", (*Kernel).Run, false},
+		{"stop/Run", (*Kernel).Run, true},
+		{"stop/RunUntil", func(k *Kernel) { k.RunUntil(500) }, true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			k := NewKernel()
+			q := NewQueue[int](k)
+			var recvDone, waitDone bool
+			k.Spawn("blocked", func(p *Proc) {
+				defer func() { recvDone = true }()
+				q.Recv(p) // never satisfied
+			})
+			if c.stop {
+				k.Spawn("parked", func(p *Proc) {
+					defer func() { waitDone = true }()
+					p.Wait(1000)
+				})
+				k.Schedule(10, k.Stop)
+			} else {
+				waitDone = true
+			}
+			c.run(k)
+			if !recvDone || !waitDone {
+				t.Fatalf("cleanup after return: queue-blocked %v, parked %v", recvDone, waitDone)
+			}
+		})
+	}
+}
+
+// TestKillSurvivesWaitInCleanup: a deferred cleanup that tries to wait
+// while its process is being torn down must not hand control back to
+// the (already stopped) kernel.
+func TestKillSurvivesWaitInCleanup(t *testing.T) {
+	k := NewKernel()
+	q := NewQueue[int](k)
+	cleaned := false
+	k.Spawn("stuck", func(p *Proc) {
+		defer func() { cleaned = true }()
+		defer p.Wait(1)
+		q.Recv(p)
+	})
+	k.Run()
+	if !cleaned {
+		t.Fatal("cleanup did not finish before Run returned")
+	}
+}
+
+// BenchmarkProcWait measures the kernel↔process handoff: one process
+// waits and sends, the other receives, so every iteration is two
+// handoffs (the waiter's wake-up and the receiver's).
+func BenchmarkProcWait(b *testing.B) {
+	k := NewKernel()
+	q := NewQueue[int](k)
+	k.Spawn("ping", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			p.Wait(1)
+			q.Send(i)
+		}
+	})
+	k.Spawn("pong", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			q.Recv(p)
+		}
+	})
+	k.RunUntil(0) // start both goroutines outside the timed region
+	b.ReportAllocs()
+	b.ResetTimer()
+	k.Run()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(2*b.N), "ns/handoff")
+}

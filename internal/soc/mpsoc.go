@@ -23,6 +23,8 @@ type MPSoC struct {
 	table    probe.TableLayout
 	sessions uint64
 	meter    *probe.Meter
+	// cache is the shared L1, reset at the start of every session.
+	cache *cache.Cache
 }
 
 // NewMPSoC builds the platform around a victim key.
@@ -31,6 +33,7 @@ func NewMPSoC(key bitutil.Word128, params Params) *MPSoC {
 		params: params,
 		cipher: gift.NewCipher64FromWord(key),
 		table:  probe.TableLayout{Base: params.TableBase, EntryBytes: 1, Entries: 16},
+		cache:  cache.MustNew(cache.PaperConfig(params.CacheLineBytes)),
 	}
 }
 
@@ -90,7 +93,8 @@ func (m *MPSoC) runSession(pt uint64, probeUntilRound int) Session {
 	m.sessions++
 	k := sim.NewKernel()
 	clock := sim.ClockMHz(m.params.ClockMHz)
-	cch := cache.MustNew(cache.PaperConfig(m.params.CacheLineBytes))
+	cch := m.cache
+	cch.Reset()
 	mesh := noc.MustNew(k, clock, m.params.Mesh)
 	vic := victim.New(m.cipher, m.table, m.params.Timing)
 
@@ -184,9 +188,10 @@ func (e *fastExecutor) Access(addr uint64) uint64 {
 }
 
 // EarliestProbeRound reports the round the attacker's first reload lands
-// in (Table II metric).
+// in (Table II metric). Only the first probe window matters, so the
+// attacker stands down right after it.
 func (m *MPSoC) EarliestProbeRound() int {
-	sess := m.RunSession(0x0123456789abcdef)
+	sess := m.RunSessionUntil(0x0123456789abcdef, 0)
 	if len(sess.Windows) == 0 {
 		return 0
 	}
@@ -234,7 +239,8 @@ func probeAndFlushRemote(ex *nocExecutor, fr *probe.FlushReload) probe.LineSet {
 func (m *MPSoC) RemoteAccessTime() sim.Time {
 	k := sim.NewKernel()
 	clock := sim.ClockMHz(m.params.ClockMHz)
-	cch := cache.MustNew(cache.PaperConfig(m.params.CacheLineBytes))
+	cch := m.cache
+	cch.Reset()
 	mesh := noc.MustNew(k, clock, m.params.Mesh)
 	var rt sim.Time
 	k.Spawn("meter", func(p *sim.Proc) {

@@ -135,8 +135,9 @@ type Session struct {
 	Ciphertext uint64
 	Windows    []ProbeWindow
 	// CacheStats holds the shared cache's activity counters for this
-	// session (each session runs on a fresh cache, so the counters are
-	// per-encryption; PlatformChannel accumulates them across sessions).
+	// session (each session starts from a reset cache, so the counters
+	// are per-encryption; PlatformChannel accumulates them across
+	// sessions).
 	CacheStats cache.Stats
 }
 

@@ -172,3 +172,31 @@ func TestDeterministicSessions(t *testing.T) {
 		}
 	}
 }
+
+// TestEarliestProbeRoundIsFirstWindow: the Table II race stands the
+// attacker down after its first probe window, which must not change the
+// reported round — it equals the first window of a full session on a
+// fresh platform — and must cost exactly one session.
+func TestEarliestProbeRoundIsFirstWindow(t *testing.T) {
+	for _, prim := range []ProbePrimitive{PrimitiveFlushReload, PrimitivePrimeProbe} {
+		for _, mhz := range []uint64{10, 25, 50} {
+			params := DefaultParams(mhz)
+			params.Primitive = prim
+			builds := map[string]func() Platform{
+				"single": func() Platform { return NewSingleSoC(testKey, params) },
+				"mpsoc":  func() Platform { return NewMPSoC(testKey, params) },
+			}
+			for name, build := range builds {
+				want := build().RunSession(0x0123456789abcdef).Windows[0].LastRound
+				p := build()
+				before := p.Sessions()
+				if got := p.EarliestProbeRound(); got != want {
+					t.Errorf("%s %v %d MHz: EarliestProbeRound %d, full session's first window %d", name, prim, mhz, got, want)
+				}
+				if n := p.Sessions() - before; n != 1 {
+					t.Errorf("%s %v %d MHz: race ran %d sessions, want 1", name, prim, mhz, n)
+				}
+			}
+		}
+	}
+}
