@@ -2,21 +2,13 @@ package core
 
 import (
 	"errors"
-	"fmt"
-	"math"
 
 	"grinch/internal/bitutil"
 	"grinch/internal/gift"
 	"grinch/internal/obs"
 	"grinch/internal/obs/metrics"
 	"grinch/internal/probe"
-	"grinch/internal/rng"
 )
-
-// logRatio returns log(a)/log(b) for a, b in (0,1).
-func logRatio(a, b float64) float64 {
-	return math.Log(a) / math.Log(b)
-}
 
 // Config tunes the attack.
 type Config struct {
@@ -111,14 +103,7 @@ type RetryPolicy struct {
 // backoff returns the simulated wait charged before the attempt-th
 // retry (1-based).
 func (p RetryPolicy) backoff(attempt int) uint64 {
-	if p.BackoffPS == 0 {
-		return 0
-	}
-	shift := attempt - 1
-	if shift > 10 {
-		shift = 10
-	}
-	return p.BackoffPS << shift
+	return p.BackoffPS << min(attempt-1, 10)
 }
 
 // isTransient reports whether err marks a retryable channel failure.
@@ -135,32 +120,11 @@ func isTransient(err error) bool {
 // (cmd/grinch applies the same floor for -threshold < 1).
 const relaxedMinObservations = 48
 
-// restartRelax returns the configured per-restart threshold
-// relaxation factor.
-func (c Config) restartRelax() float64 {
-	if c.RestartRelax == 0 {
-		return 0.9
-	}
-	return c.RestartRelax
-}
-
 // relaxThreshold applies one restart's relaxation, floored at 0.5 —
 // below that a line present in half the observations would survive,
 // and the elimination no longer distinguishes signal from coin flips.
 func relaxThreshold(t, relax float64) float64 {
-	t *= relax
-	if t < 0.5 {
-		t = 0.5
-	}
-	return t
-}
-
-// degenerate reports whether a fully-masked observation carries no
-// usable elimination information: empty (a dropped probe window —
-// destructive under strict intersection) or all-lines (uninformative,
-// inflates every presence ratio).
-func degenerate(set, mask probe.LineSet) bool {
-	return set == 0 || set == mask
+	return max(t*relax, 0.5)
 }
 
 // confidence scores a converged elimination by the separation between
@@ -169,6 +133,12 @@ func degenerate(set, mask probe.LineSet) bool {
 // while every other line vanished; near 0 means the runner-up barely
 // lost.
 func confidence(elim *Eliminator, line, lines int) float64 {
+	return max(elim.PresenceRatio(line)-runnerUp(elim, line, lines), 0)
+}
+
+// runnerUp returns the highest presence ratio among the lines other
+// than line.
+func runnerUp(elim *Eliminator, line, lines int) float64 {
 	var next float64
 	for l := 0; l < lines; l++ {
 		if l == line {
@@ -178,11 +148,7 @@ func confidence(elim *Eliminator, line, lines int) float64 {
 			next = p
 		}
 	}
-	c := elim.PresenceRatio(line) - next
-	if c < 0 {
-		c = 0
-	}
-	return c
+	return next
 }
 
 // ProgressFunc observes attack progress: one call per segment whose
@@ -199,6 +165,9 @@ func (c Config) withDefaults() Config {
 	if c.Threshold == 0 {
 		c.Threshold = 1
 	}
+	if c.RestartRelax == 0 {
+		c.RestartRelax = 0.9
+	}
 	return c
 }
 
@@ -213,26 +182,30 @@ var ErrNoConvergence = errors.New("core: candidate elimination did not converge"
 // virtual time plus accrued retry backoff) passed Config.SimDeadlinePS.
 var ErrSimDeadline = errors.New("core: simulated deadline exceeded")
 
-// Attacker drives the GRINCH attack over an observation channel.
+// gift64 is the GIFT-64 descriptor: the paper's victim, and the only
+// cipher with a batched observation pipeline (gift.Batch64). Round t
+// consumes master-key limbs k_{2t-1} and k_{2t-2}, so round keys 1..4
+// make up the key; a wide line adds one disambiguation pass.
+var gift64 = &cipher[uint64, gift.RoundKey64, TargetSpec, *TargetSpec]{
+	name:        "GIFT-64",
+	segments:    gift.Segments64,
+	rounds:      gift.Rounds64,
+	keyRounds:   4,
+	maxPasses:   8,
+	target:      func(t, g int) *TargetSpec { return &target64Specs[t-1][g] },
+	roundKey:    roundKeyFromPairs,
+	hypotheses:  true,
+	batchNext:   batchNext,
+	batchSettle: batchSettle,
+}
+
+// Attacker drives the GRINCH attack over a GIFT-64 observation channel.
 type Attacker struct {
-	ch        probe.Channel
-	cfg       Config
-	rng       *rng.Source
-	lineWords int
-	// batchCh is the channel's batch entry point, non-nil only when
-	// Config.Batch allows it and the channel proved batch support at
-	// construction; eliminations then run the batched pipeline.
-	batchCh probe.BatchChannel
-	// meter holds the pre-resolved metrics instruments (zero when
-	// Config.Metrics is nil).
-	meter attackMeter
-	// backoffPS is the simulated time charged by transient-failure
-	// retries (RetryPolicy.BackoffPS accrual).
-	backoffPS uint64
-	// lastRound / lastStatuses record the most recent AttackRound pass's
-	// per-segment outcomes, feeding RecoverKeyGraceful's PartialResult.
-	lastRound    int
-	lastStatuses []SegmentStatus
+	engine[uint64, gift.RoundKey64, TargetSpec, *TargetSpec]
+	// spec holds AttackTarget's argument: the engine addresses
+	// specifications by pointer, and reusing one allocation keeps
+	// AttackTarget from copying each caller's spec to the heap.
+	spec *TargetSpec
 }
 
 // NewAttacker builds an attacker. The channel's line count must divide
@@ -240,181 +213,19 @@ type Attacker struct {
 // no index information and is rejected — that is exactly the paper's
 // first countermeasure.
 func NewAttacker(ch probe.Channel, cfg Config) (*Attacker, error) {
-	lines := ch.Lines()
-	if lines < 2 || 16%lines != 0 {
-		return nil, fmt.Errorf("core: channel exposes %d table lines; the attack needs 2..16 dividing 16", lines)
+	a := new(Attacker)
+	if err := a.init(gift64, ch, cfg); err != nil {
+		return nil, err
 	}
-	cfg = cfg.withDefaults()
-	a := &Attacker{
-		ch:        ch,
-		cfg:       cfg,
-		rng:       rng.New(cfg.Seed),
-		lineWords: 16 / lines,
-		meter:     newAttackMeter(cfg.Metrics, "GIFT-64"),
-	}
-	if cfg.Batch == BatchAuto {
+	if a.cfg.Batch == BatchAuto {
 		a.batchCh, _ = supportsBatch(ch)
 	}
 	return a, nil
 }
 
-// LineWords returns how many table entries share a cache line on this
-// channel.
-func (a *Attacker) LineWords() int { return a.lineWords }
-
-// Encryptions returns the channel's total encryption count.
-func (a *Attacker) Encryptions() uint64 { return a.ch.Encryptions() }
-
-// overBudget reports whether the total budget is exhausted.
-func (a *Attacker) overBudget() bool {
-	return a.cfg.TotalBudget > 0 && a.ch.Encryptions() >= a.cfg.TotalBudget
-}
-
-// SimPS returns the attack's simulated clock in picoseconds: the
-// accrued retry backoff plus the channel's own virtual time when the
-// channel exposes SimPS() uint64 (platform channels do).
-func (a *Attacker) SimPS() uint64 {
-	ps := a.backoffPS
-	if s, ok := a.ch.(interface{ SimPS() uint64 }); ok {
-		ps += s.SimPS()
-	}
-	return ps
-}
-
-// overDeadline reports whether the simulated deadline has passed.
-func (a *Attacker) overDeadline() bool {
-	return a.cfg.SimDeadlinePS > 0 && a.SimPS() >= a.cfg.SimDeadlinePS
-}
-
-// collectRetry performs one observation, retrying transient channel
-// failures under the configured RetryPolicy. It returns the observed
-// set, the mask of lines actually examined, the number of recovered
-// transient failures, and the terminal error once retries are
-// exhausted, the failure is not transient, or the backoff pushed the
-// simulated clock past the deadline.
-func (a *Attacker) collectRetry(pt uint64, spec TargetSpec) (set, mask probe.LineSet, retries uint64, err error) {
-	full := probe.FullSet(a.ch.Lines())
-	if masked, ok := a.ch.(probe.MaskedChannel); ok {
-		s, m := masked.CollectMasked(pt, spec.Round)
-		return s, m, 0, nil
-	}
-	fc, ok := a.ch.(probe.FallibleChannel)
-	if !ok {
-		return a.ch.Collect(pt, spec.Round), full, 0, nil
-	}
-	for attempt := 0; ; attempt++ {
-		s, cerr := fc.CollectErr(pt, spec.Round)
-		if cerr == nil {
-			return s, full, retries, nil
-		}
-		if !isTransient(cerr) || attempt >= a.cfg.Retry.MaxAttempts {
-			return 0, full, retries, cerr
-		}
-		retries++
-		wait := a.cfg.Retry.backoff(attempt + 1)
-		a.backoffPS += wait
-		if a.cfg.Tracer != nil {
-			a.cfg.Tracer.Emit(obs.Event{
-				Kind:    obs.KindRetry,
-				Enc:     a.ch.Encryptions(),
-				Cipher:  "GIFT-64",
-				Round:   spec.Round,
-				Segment: spec.Segment,
-				Attempt: attempt + 1,
-				SimPS:   wait,
-			})
-		}
-		if a.overDeadline() {
-			return 0, full, retries, ErrSimDeadline
-		}
-	}
-}
-
-// progress emits a ProgressFunc event if one is configured.
-func (a *Attacker) progress(cipher string, round, segment int, converged bool, line int, obs uint64) {
-	if a.cfg.Progress != nil {
-		a.cfg.Progress(cipher, round, segment, converged, line, obs)
-	}
-}
-
-// traceObservation emits the per-encryption pair of events — the raw
-// probe observation and the candidate state it produced. Only called
-// with a non-nil tracer, so the Candidates recomputation is free on the
-// untraced path.
-func traceObservation(tr obs.Tracer, enc uint64, cipher string, round, segment int, set probe.LineSet, elim *Eliminator) {
-	tr.Emit(obs.Event{
-		Kind:    obs.KindProbeObservation,
-		Enc:     enc,
-		Cipher:  cipher,
-		Round:   round,
-		Segment: segment,
-		Lines:   uint64(set),
-	})
-	cands := elim.Candidates()
-	tr.Emit(obs.Event{
-		Kind:         obs.KindCandidateUpdate,
-		Enc:          enc,
-		Cipher:       cipher,
-		Round:        round,
-		Segment:      segment,
-		Lines:        uint64(cands),
-		Survivors:    cands.Count(),
-		EntropyBits:  obs.EntropyBits(cands.Count()),
-		Observations: elim.Observations(),
-	})
-}
-
-// traceRecovered emits the segment_recovered terminal event for a
-// converged elimination.
-func traceRecovered(tr obs.Tracer, enc uint64, cipher string, round, segment, line int, observations uint64) {
-	tr.Emit(obs.Event{
-		Kind:         obs.KindSegmentRecovered,
-		Enc:          enc,
-		Cipher:       cipher,
-		Round:        round,
-		Segment:      segment,
-		Line:         line,
-		Observations: observations,
-	})
-}
-
-// TargetOutcome is the result of attacking one segment under one
-// crafting hypothesis.
-type TargetOutcome struct {
-	Spec TargetSpec
-	// Line is the converged table line (-1 if not converged).
-	Line int
-	// Pairs lists the candidate (v | u<<1) key-bit pairs consistent
-	// with Line (1, 2 or 4 entries depending on line width).
-	Pairs []uint8
-	// Observations is the number of encryptions this elimination used.
-	Observations uint64
-	Converged    bool
-	// Exhausted means every candidate was eliminated — the signature of
-	// a wrong crafting hypothesis.
-	Exhausted bool
-	// Infeasible means the elimination converged on a line the pinned
-	// target cannot produce: a noise line outlasted every other line by
-	// chance, which also indicates a wrong hypothesis.
-	Infeasible bool
-	// Restarts is how many threshold-relaxing restarts the elimination
-	// consumed (Config.MaxRestarts; direct targets only).
-	Restarts int
-	// Retries counts transient channel failures recovered under the
-	// retry policy.
-	Retries uint64
-	// Quarantined counts degenerate observations discarded before the
-	// eliminator (Config.Quarantine).
-	Quarantined uint64
-	// Confidence scores a converged elimination in [0,1]: the
-	// survivor's presence-ratio separation from the strongest
-	// eliminated competitor (0 when not converged).
-	Confidence float64
-	// ChannelErr is the terminal channel failure that aborted the
-	// elimination: retries exhausted, a non-transient error, or
-	// ErrSimDeadline. Nil otherwise.
-	ChannelErr error
-}
+// TargetOutcome is the result of attacking one GIFT-64 segment under
+// one crafting hypothesis.
+type TargetOutcome = Outcome[TargetSpec]
 
 // AttackTarget runs paper Steps 1-4 for one target: craft plaintexts,
 // collect probes, eliminate candidates, and reverse-engineer the key-bit
@@ -423,169 +234,11 @@ type TargetOutcome struct {
 // in which case the elimination exhausts (or converges infeasibly) and
 // the outcome reports it.
 func (a *Attacker) AttackTarget(spec TargetSpec, rks []gift.RoundKey64) TargetOutcome {
-	return a.attackTarget(spec, rks, false)
-}
-
-// attackTarget optionally confirms a convergence by persistence (see
-// eliminateTarget) and, for direct (hypothesis-free) targets, restarts
-// an exhausted elimination up to Config.MaxRestarts times with a
-// relaxed survival threshold: under bursty noise a false absence on
-// the true line poisons a strict intersection permanently, and the
-// only recovery is to discard the statistics and tolerate more
-// absences. Hypothesis-testing eliminations never restart — there,
-// exhaustion is the signal that the parent hypothesis is wrong.
-func (a *Attacker) attackTarget(spec TargetSpec, rks []gift.RoundKey64, confirm bool) TargetOutcome {
-	threshold := a.cfg.Threshold
-	minObs := a.cfg.MinObservations
-	out := a.eliminateTarget(spec, rks, confirm, threshold, minObs)
-	for out.Exhausted && !confirm && out.ChannelErr == nil &&
-		out.Restarts < a.cfg.MaxRestarts && !a.overBudget() && !a.overDeadline() {
-		threshold = relaxThreshold(threshold, a.cfg.restartRelax())
-		if threshold < 1 && minObs < relaxedMinObservations {
-			minObs = relaxedMinObservations
-		}
-		restarts := out.Restarts + 1
-		a.meter.restarts.Inc()
-		if a.cfg.Tracer != nil {
-			a.cfg.Tracer.Emit(obs.Event{
-				Kind:      obs.KindTargetRestarted,
-				Enc:       a.ch.Encryptions(),
-				Cipher:    "GIFT-64",
-				Round:     spec.Round,
-				Segment:   spec.Segment,
-				Attempt:   restarts,
-				Threshold: threshold,
-			})
-		}
-		prev := out
-		out = a.eliminateTarget(spec, rks, confirm, threshold, minObs)
-		out.Restarts = restarts
-		out.Observations += prev.Observations
-		out.Retries += prev.Retries
-		out.Quarantined += prev.Quarantined
+	if a.spec == nil {
+		a.spec = new(TargetSpec)
 	}
-	return out
-}
-
-// eliminateTarget is one elimination pass: craft plaintexts, collect
-// probes (with retries), fold observations in, and stop on
-// convergence, exhaustion, infeasibility, budget, deadline, or channel
-// failure. When confirm is set, a convergence must additionally
-// persist as the sole candidate for an adaptively-chosen number of
-// extra observations before it is believed — a noise line can survive
-// every observation by chance and fake a convergence under a wrong
-// crafting hypothesis.
-func (a *Attacker) eliminateTarget(spec TargetSpec, rks []gift.RoundKey64, confirm bool, threshold float64, minObs uint64) TargetOutcome {
-	var elim Eliminator
-	elim.Reset(a.ch.Lines(), threshold)
-	feasible := spec.FeasibleLines(a.lineWords)
-	full := probe.FullSet(a.ch.Lines())
-	startEnc := a.ch.Encryptions()
-	out := TargetOutcome{Spec: spec, Line: -1}
-	var confirmLeft uint64
-	confirming := false
-
-	var bs *batchState
-	if a.batchCh != nil {
-		bs = batchStatePool.Get().(*batchState)
-		bs.reset()
-		defer func() {
-			bs.settle(a, &spec)
-			batchStatePool.Put(bs)
-		}()
-	}
-
-	// encUpper tracks an upper bound on the channel's encryption counter
-	// without the per-observation interface call behind overBudget():
-	// each completed iteration consumed exactly one committed encryption
-	// plus at most `retries` retried ones (channels that fail before
-	// encrypting make this an overestimate, never an underestimate). The
-	// authoritative counter is only consulted once the bound reaches the
-	// budget, so the stopping point is identical to checking it always.
-	encUpper := startEnc
-	budget := a.cfg.TotalBudget
-
-	// tries bounds loop iterations rather than eliminator observations:
-	// quarantined observations consume budget (the victim encrypted)
-	// without advancing the eliminator, and must not loop forever.
-	for tries := uint64(0); tries < a.cfg.MaxObservationsPerTarget &&
-		(budget == 0 || encUpper < budget || !a.overBudget()); tries++ {
-		if a.overDeadline() {
-			out.ChannelErr = ErrSimDeadline
-			break
-		}
-		var set, mask probe.LineSet
-		var retries uint64
-		var err error
-		if bs != nil {
-			set, mask, retries, err = a.batchNext(bs, &spec, rks)
-		} else {
-			pt := spec.CraftPlaintext(a.rng, rks)
-			set, mask, retries, err = a.collectRetry(pt, spec)
-		}
-		out.Retries += retries
-		encUpper += 1 + retries
-		if err != nil {
-			out.ChannelErr = err
-			break
-		}
-		if a.cfg.Quarantine && mask == full && degenerate(set, mask) {
-			out.Quarantined++
-			continue
-		}
-		elim.ObserveMasked(set, mask)
-		if a.cfg.Tracer != nil {
-			traceObservation(a.cfg.Tracer, a.ch.Encryptions(), "GIFT-64", spec.Round, spec.Segment, set, &elim)
-		}
-
-		// Under strict intersection an empty candidate set is
-		// definitive at any point; with a tolerant threshold it is only
-		// meaningful once enough observations have accumulated.
-		if elim.Exhausted() && (threshold == 1 || elim.Observations() >= minObs) {
-			out.Exhausted = true
-			break
-		}
-		line, ok := elim.Converged(minObs)
-		if !ok {
-			confirming = false
-			continue
-		}
-		if !feasible.Contains(line) {
-			out.Infeasible = true
-			break
-		}
-		if !confirm {
-			out.Line = line
-			out.Converged = true
-			break
-		}
-		if !confirming {
-			confirming = true
-			confirmLeft = a.confirmSpan(&elim, line)
-		}
-		if confirmLeft == 0 {
-			out.Line = line
-			out.Converged = true
-			break
-		}
-		confirmLeft--
-	}
-	if out.Converged {
-		out.Pairs = spec.PairsForLine(out.Line, a.lineWords)
-		out.Confidence = confidence(&elim, out.Line, a.ch.Lines())
-		if a.cfg.Tracer != nil {
-			traceRecovered(a.cfg.Tracer, a.ch.Encryptions(), "GIFT-64", spec.Round, spec.Segment, out.Line, elim.Observations())
-		}
-	}
-	out.Observations = elim.Observations()
-	// The observation counter is flushed per target like the retry and
-	// quarantine counters: one atomic add instead of one per probe.
-	a.meter.observations.Add(elim.Observations())
-	a.meter.retries.Add(out.Retries)
-	a.meter.quarantined.Add(out.Quarantined)
-	a.meter.segmentDone(elim.Observations(), uint64(elim.Candidates().Count()),
-		a.ch.Encryptions()-startEnc, out.Converged, out.Exhausted, out.Infeasible)
-	return out
+	*a.spec = spec
+	return a.attackTarget(a.spec, rks, false)
 }
 
 // worstPinShare is the largest fraction of crafted inputs for which a
@@ -615,36 +268,6 @@ func computeWorstPinShare() float64 {
 	return float64(best) / 8
 }
 
-// confirmSpan picks how many extra all-present observations a surviving
-// line must endure before a hypothesis is accepted. Under a wrong
-// hypothesis the expected line still receives signal on a worstPinShare
-// fraction of encryptions and noise cover otherwise, so it dies at rate
-// ≥ (1−worstPinShare)·(1−p̂) per observation, where p̂ is the noise
-// presence ratio estimated from the strongest eliminated competitor.
-// Demanding survival over K = log(fp)/log(1−rate) extra observations
-// bounds the hypothesis false-positive rate by fp.
-func (a *Attacker) confirmSpan(elim *Eliminator, line int) uint64 {
-	var pMax float64
-	for l := 0; l < a.ch.Lines(); l++ {
-		if l == line {
-			continue
-		}
-		if p := elim.PresenceRatio(l); p > pMax {
-			pMax = p
-		}
-	}
-	if pMax > 0.999 {
-		pMax = 0.999
-	}
-	deathRate := (1 - worstPinShare) * (1 - pMax)
-	const fpRate = 1e-4
-	k := uint64(logRatio(fpRate, 1-deathRate)) + 1
-	if limit := a.cfg.MaxObservationsPerTarget; k > limit {
-		k = limit
-	}
-	return k
-}
-
 // RoundOutcome is the result of attacking all 16 segments of one round
 // key.
 type RoundOutcome struct {
@@ -664,36 +287,24 @@ type RoundOutcome struct {
 // Unique reports whether every segment resolved to a single key-bit
 // pair, and returns the round key if so.
 func (r RoundOutcome) Unique() (gift.RoundKey64, bool) {
-	var pairs [16]uint8
-	for g, c := range r.Cands {
-		if len(c) != 1 {
-			return gift.RoundKey64{}, false
-		}
-		pairs[g] = c[0]
-	}
-	return roundKeyFromPairs(r.Round, pairs), true
+	return gift64.unique(r.Round, r.Cands[:])
 }
 
 // roundKeyFromPairs assembles a round key from per-segment (v|u<<1)
 // pairs.
-func roundKeyFromPairs(round int, pairs [16]uint8) gift.RoundKey64 {
-	var rk gift.RoundKey64
-	for g, p := range pairs {
-		rk.V |= uint16(p&1) << g
-		rk.U |= uint16(p>>1&1) << g
-	}
-	rk.Const = gift.RoundConstants[round-1]
-	return rk
+func roundKeyFromPairs(round int, pairs [maxSegments]uint8) gift.RoundKey64 {
+	v, u := packPairs[uint16](pairs[:gift.Segments64])
+	return gift.RoundKey64{U: u, V: v, Const: gift.RoundConstants[round-1]}
 }
 
-// observableShift returns how many low index bits the line granularity
-// hides (0 for 1-word lines).
-func (a *Attacker) observableShift() int {
-	s := 0
-	for w := a.lineWords; w > 1; w >>= 1 {
-		s++
+// packPairs gathers per-segment (v|u<<1) pairs into a round key's V and
+// U words, segment g at bit g.
+func packPairs[W uint16 | uint32](pairs []uint8) (v, u W) {
+	for g, p := range pairs {
+		v |= W(p&1) << g
+		u |= W(p>>1&1) << g
 	}
-	return s
+	return v, u
 }
 
 // AttackRound attacks round key t across all 16 segments (paper Step 5
@@ -706,163 +317,14 @@ func (a *Attacker) observableShift() int {
 // eliminations exhaust instead of converging (paper §III-D, "assume all
 // possibilities").
 func (a *Attacker) AttackRound(t int, resolved []gift.RoundKey64, prevCands *[16][]uint8) (RoundOutcome, error) {
-	if t >= 2 {
-		need := t - 1
-		if prevCands != nil {
-			need = t - 2
-		}
-		if len(resolved) < need {
-			return RoundOutcome{}, fmt.Errorf("core: attacking round %d needs %d resolved round keys, have %d", t, need, len(resolved))
-		}
-	}
-
 	out := RoundOutcome{Round: t}
-	start := a.ch.Encryptions()
-	a.lastRound = t
-	a.lastStatuses = a.lastStatuses[:0]
-
-	// confirmed[seg] holds the proven pair for segment seg of round key
-	// t-1; -1 = not yet proven.
-	var confirmed [16]int8
-	for i := range confirmed {
-		confirmed[i] = -1
-	}
-
-	obsShift := a.observableShift()
-
-	for g := 0; g < gift.Segments64; g++ {
-		spec := NewTarget64(t, g)
-
-		if prevCands == nil {
-			// Crafting needs no hypotheses: earlier rounds are resolved
-			// (or this is round 1 and sources are plaintext segments).
-			o := a.AttackTarget(spec, resolved[:max(t-1, 0)])
-			a.progress("GIFT-64", t, g, o.Converged, o.Line, o.Observations)
-			a.lastStatuses = append(a.lastStatuses, statusFor(t, g, o.Converged, o.Line, o.Observations, o.Restarts, o.Retries, o.Confidence))
-			if !o.Converged {
-				return out, a.targetErr(spec, o)
-			}
-			out.Cands[g] = o.Pairs
-			continue
-		}
-
-		// Enumerate hypotheses for the parents whose wrongness is
-		// observable: a wrong pair on the parent feeding index bit j
-		// makes that bit vary, which changes the observed line only
-		// when j is above the intra-line bits.
-		parents := spec.ParentSegments()
-		var enumPos []int
-		for j := obsShift; j < 4; j++ {
-			enumPos = append(enumPos, j)
-		}
-
-		options := make([][]uint8, len(enumPos))
-		for i, j := range enumPos {
-			seg := parents[j]
-			if confirmed[seg] >= 0 {
-				options[i] = []uint8{uint8(confirmed[seg])}
-			} else {
-				options[i] = (*prevCands)[seg]
-			}
-		}
-
-		won := false
-		var last TargetOutcome
-		for _, combo := range cartesian(options) {
-			pairs := a.baselinePairs(prevCands, &confirmed)
-			for i, j := range enumPos {
-				pairs[parents[j]] = combo[i]
-			}
-			rkPrev := roundKeyFromPairs(t-1, pairs)
-			rks := append(append([]gift.RoundKey64{}, resolved[:t-2]...), rkPrev)
-			o := a.attackTarget(spec, rks, true)
-			last = o
-			if !o.Converged {
-				if o.ChannelErr != nil {
-					a.lastStatuses = append(a.lastStatuses, statusFor(t, g, false, -1, o.Observations, o.Restarts, o.Retries, 0))
-					return out, fmt.Errorf("core: round %d segment %d: %w", t, g, o.ChannelErr)
-				}
-				if a.overBudget() {
-					a.lastStatuses = append(a.lastStatuses, statusFor(t, g, false, -1, o.Observations, o.Restarts, o.Retries, 0))
-					return out, ErrBudgetExceeded
-				}
-				continue
-			}
-			// First (and only) converging combo: confirm the
-			// enumerated parents and record round-t candidates.
-			for i, j := range enumPos {
-				confirmed[parents[j]] = int8(combo[i])
-			}
-			out.Cands[g] = o.Pairs
-			a.progress("GIFT-64", t, g, true, o.Line, o.Observations)
-			won = true
-			break
-		}
-		a.lastStatuses = append(a.lastStatuses, statusFor(t, g, won, last.Line, last.Observations, last.Restarts, last.Retries, last.Confidence))
-		if !won {
-			a.progress("GIFT-64", t, g, false, -1, 0)
-			return out, fmt.Errorf("core: round %d segment %d: no crafting hypothesis converged (%w)", t, g, ErrNoConvergence)
-		}
-	}
-
+	var prev [][]uint8
 	if prevCands != nil {
-		for seg, c := range confirmed {
-			if c < 0 {
-				// Every segment feeds index bit 3 of exactly one target,
-				// and bit 3 is observable for any line width up to 8
-				// words — so full coverage is structural.
-				return out, fmt.Errorf("core: round %d left segment %d of round %d unresolved", t, seg, t-1)
-			}
-			out.ConfirmedPrev[seg] = uint8(confirmed[seg])
-		}
-		out.PrevResolved = true
+		prev = prevCands[:]
 	}
-	out.Encryptions = a.ch.Encryptions() - start
-	return out, nil
-}
-
-// baselinePairs picks an arbitrary candidate for every segment
-// (confirmed values where available): segments whose hypotheses are
-// unobservable for the current target only perturb already-random
-// state, so any choice works.
-func (a *Attacker) baselinePairs(prevCands *[16][]uint8, confirmed *[16]int8) [16]uint8 {
-	var pairs [16]uint8
-	for seg := 0; seg < 16; seg++ {
-		if confirmed[seg] >= 0 {
-			pairs[seg] = uint8(confirmed[seg])
-		} else if len(prevCands[seg]) > 0 {
-			pairs[seg] = prevCands[seg][0]
-		}
-	}
-	return pairs
-}
-
-func (a *Attacker) targetErr(spec TargetSpec, o TargetOutcome) error {
-	if o.ChannelErr != nil {
-		return fmt.Errorf("core: round %d segment %d: %w", spec.Round, spec.Segment, o.ChannelErr)
-	}
-	if a.overBudget() {
-		return ErrBudgetExceeded
-	}
-	return fmt.Errorf("core: round %d segment %d: %d observations, %w",
-		spec.Round, spec.Segment, o.Observations, ErrNoConvergence)
-}
-
-// cartesian enumerates the cartesian product of the option lists.
-func cartesian(options [][]uint8) [][]uint8 {
-	combos := [][]uint8{nil}
-	for _, opts := range options {
-		var next [][]uint8
-		for _, c := range combos {
-			for _, o := range opts {
-				nc := make([]uint8, len(c), len(c)+1)
-				copy(nc, c)
-				next = append(next, append(nc, o))
-			}
-		}
-		combos = next
-	}
-	return combos
+	var err error
+	out.Encryptions, out.PrevResolved, err = a.attackRound(t, resolved, prev, out.Cands[:], out.ConfirmedPrev[:])
+	return out, err
 }
 
 // KeyResult is a completed key recovery.
@@ -884,50 +346,8 @@ type KeyResult struct {
 // fifth disambiguation pass when the cache line hides index bits) and
 // reassembles the 128-bit master key from the four recovered round keys.
 func (a *Attacker) RecoverKey() (KeyResult, error) {
-	res, _, err := a.recoverKey()
-	return res, err
-}
-
-// recoverKey is RecoverKey's body, additionally returning the round
-// keys resolved before any failure (RecoverKeyGraceful's input).
-func (a *Attacker) recoverKey() (KeyResult, []gift.RoundKey64, error) {
-	var res KeyResult
-	start := a.ch.Encryptions()
-
-	var resolved []gift.RoundKey64
-	var pending *[16][]uint8
-	passes := 0
-	t := 1
-	for len(resolved) < 4 {
-		if t > 8 {
-			return res, resolved, fmt.Errorf("core: no resolution after %d round passes", passes)
-		}
-		passes++
-		out, err := a.AttackRound(t, resolved, pending)
-		if err != nil {
-			return res, resolved, err
-		}
-		if pending != nil {
-			resolved = append(resolved, roundKeyFromPairs(t-1, out.ConfirmedPrev))
-			pending = nil
-		}
-		if len(resolved) >= 4 {
-			break
-		}
-		if rk, ok := out.Unique(); ok {
-			resolved = append(resolved, rk)
-		} else {
-			cands := out.Cands
-			pending = &cands
-		}
-		t++
-	}
-
-	copy(res.RoundKeys[:], resolved[:4])
-	res.Key = AssembleKey(res.RoundKeys)
-	res.Encryptions = a.ch.Encryptions() - start
-	res.RoundsAttacked = passes
-	return res, resolved, nil
+	rec, err := a.recover()
+	return keyResult(rec, err), err
 }
 
 // RecoverKeyGraceful runs the full attack but degrades failures into a
@@ -938,14 +358,22 @@ func (a *Attacker) recoverKey() (KeyResult, []gift.RoundKey64, error) {
 // stopped. A nil PartialResult means full recovery and the KeyResult
 // is complete.
 func (a *Attacker) RecoverKeyGraceful() (KeyResult, *PartialResult) {
-	start := a.ch.Encryptions()
-	res, resolved, err := a.recoverKey()
-	if err == nil {
-		return res, nil
+	rec, err := a.recover()
+	return keyResult(rec, err), a.partial(rec, err)
+}
+
+// keyResult assembles a recovery's KeyResult (the zero result when it
+// failed).
+func keyResult(rec recovery[gift.RoundKey64], err error) KeyResult {
+	var res KeyResult
+	if err != nil {
+		return res
 	}
-	p := newPartialResult("GIFT-64", len(resolved), err, a.ch.Encryptions()-start)
-	p.fillSegments(a.lastStatuses, a.lastRound, gift.Segments64)
-	return res, p
+	copy(res.RoundKeys[:], rec.roundKeys)
+	res.Key = AssembleKey(res.RoundKeys)
+	res.Encryptions = rec.encryptions
+	res.RoundsAttacked = rec.passes
+	return res
 }
 
 // AssembleKey rebuilds the master key from the first four round keys:

@@ -22,15 +22,6 @@ import (
 	"grinch/internal/rng"
 )
 
-// ChannelP is the PRESENT observation channel. The signal round for
-// round key t is round t itself (key-first ordering), so Collect's
-// window starts at targetRound rather than targetRound+1.
-type ChannelP interface {
-	Collect(pt uint64, targetRound int) probe.LineSet
-	Lines() int
-	Encryptions() uint64
-}
-
 // TargetSpecP pins one PRESENT S-box access: segment Segment of the
 // round-Round input state is fixed to 0xF, so the observed index is
 // 0xF ⊕ K_Round[Segment].
@@ -41,12 +32,7 @@ type TargetSpecP struct {
 
 // NewTargetP builds a PRESENT target.
 func NewTargetP(t, g int) TargetSpecP {
-	if t < 1 || t > present.Rounds {
-		panic(fmt.Sprintf("core: round %d out of range", t))
-	}
-	if g < 0 || g >= present.Segments {
-		panic(fmt.Sprintf("core: segment %d out of range", g))
-	}
+	checkTarget(t, g, present.Rounds, present.Segments)
 	return TargetSpecP{Round: t, Segment: g}
 }
 
@@ -73,6 +59,20 @@ func (t TargetSpecP) NibblesForLine(line, lineWords int) []uint8 {
 	return out
 }
 
+// FeasibleLines returns every line: the four pinned key bits reach all
+// 16 indices.
+func (t TargetSpecP) FeasibleLines(lineWords int) probe.LineSet {
+	return probe.FullSet(16 / lineWords)
+}
+
+// PairsForLine is NibblesForLine under the engine's name for a
+// target's key candidates.
+func (t TargetSpecP) PairsForLine(line, lineWords int) []uint8 {
+	return t.NibblesForLine(line, lineWords)
+}
+
+func (t *TargetSpecP) at() (round, segment int) { return t.Round, t.Segment }
+
 // CraftState builds the round-Round input with the target segment
 // pinned to 0xF and every other segment random.
 func (t TargetSpecP) CraftState(r *rng.Source) uint64 {
@@ -90,15 +90,7 @@ func (t TargetSpecP) CraftState(r *rng.Source) uint64 {
 // CraftPlaintext inverts rounds Round-1..1 with the known (or
 // hypothesized) round keys.
 func (t TargetSpecP) CraftPlaintext(r *rng.Source, rks []uint64) uint64 {
-	state := t.CraftState(r)
-	if t.Round == 1 {
-		return state
-	}
-	if len(rks) < t.Round-1 {
-		panic(fmt.Sprintf("core: crafting round %d needs %d round keys, have %d",
-			t.Round, t.Round-1, len(rks)))
-	}
-	return present.PartialDecrypt(state, rks, t.Round-1)
+	return craftPlaintext(t.CraftState(r), t.Round, rks, present.PartialDecrypt)
 }
 
 // ParentSegments returns the round-(Round-1) S-boxes feeding the target
@@ -113,100 +105,40 @@ func (t TargetSpecP) ParentSegments() [4]int {
 	return out
 }
 
-// worstPinShareP mirrors worstPinShare for the PRESENT S-box: the
-// largest probability (over uniform x) that a wrong key hypothesis on a
-// parent leaves one chosen output bit of S(x⊕e) equal to that of S(x).
-var worstPinShareP = computeWorstPinShareP()
-
-func computeWorstPinShareP() float64 {
-	best := 0
-	for o := 0; o < 4; o++ {
-		for e := uint8(1); e < 16; e++ {
-			same := 0
-			for x := uint8(0); x < 16; x++ {
-				if (present.SBox[x]^present.SBox[x^e])>>o&1 == 0 {
-					same++
-				}
-			}
-			if same > best && same < 16 {
-				best = same
-			}
+// present80 is the PRESENT-80 descriptor. Rounds 1 and 2 expose 64
+// round-key bits each, from which the key schedule is inverted. Passes
+// never carry hypotheses: see RecoverKey80.
+var present80 = &cipher[uint64, uint64, TargetSpecP, *TargetSpecP]{
+	name:      "PRESENT",
+	segments:  present.Segments,
+	rounds:    present.Rounds,
+	keyRounds: 2,
+	maxPasses: 2,
+	target:    func(t, g int) *TargetSpecP { return &TargetSpecP{Round: t, Segment: g} },
+	roundKey: func(_ int, nibbles [maxSegments]uint8) uint64 {
+		var rk uint64
+		for g, v := range nibbles[:present.Segments] {
+			rk |= uint64(v) << (4 * g)
 		}
-	}
-	return float64(best) / 16
+		return rk
+	},
 }
 
-// AttackerP drives GRINCH-P over a PRESENT channel.
+// AttackerP drives GRINCH-P over a PRESENT channel. The signal round
+// for round key t is round t itself (key-first ordering), so a
+// channel's Collect window starts at targetRound rather than
+// targetRound+1.
 type AttackerP struct {
-	ch        ChannelP
-	cfg       Config
-	rng       *rng.Source
-	lineWords int
-	meter     attackMeter
+	engine[uint64, uint64, TargetSpecP, *TargetSpecP]
 }
 
 // NewAttackerP builds a PRESENT attacker.
-func NewAttackerP(ch ChannelP, cfg Config) (*AttackerP, error) {
-	lines := ch.Lines()
-	if lines < 2 || 16%lines != 0 {
-		return nil, fmt.Errorf("core: channel exposes %d table lines; the attack needs 2..16 dividing 16", lines)
+func NewAttackerP(ch probe.Channel, cfg Config) (*AttackerP, error) {
+	a := new(AttackerP)
+	if err := a.init(present80, ch, cfg); err != nil {
+		return nil, err
 	}
-	cfg = cfg.withDefaults()
-	return &AttackerP{
-		ch:        ch,
-		cfg:       cfg,
-		rng:       rng.New(cfg.Seed),
-		lineWords: 16 / lines,
-		meter:     newAttackMeter(cfg.Metrics, "PRESENT"),
-	}, nil
-}
-
-// Encryptions returns the channel's total encryption count.
-func (a *AttackerP) Encryptions() uint64 { return a.ch.Encryptions() }
-
-func (a *AttackerP) overBudget() bool {
-	return a.cfg.TotalBudget > 0 && a.ch.Encryptions() >= a.cfg.TotalBudget
-}
-
-// TargetOutcomeP is the result of one PRESENT segment attack.
-type TargetOutcomeP struct {
-	Spec         TargetSpecP
-	Line         int
-	Nibbles      []uint8
-	Observations uint64
-	Converged    bool
-	Exhausted    bool
-}
-
-// AttackTargetP runs crafted elimination for one segment.
-func (a *AttackerP) AttackTargetP(spec TargetSpecP, rks []uint64) TargetOutcomeP {
-	var elim Eliminator
-	elim.Reset(a.ch.Lines(), a.cfg.Threshold)
-	startEnc := a.ch.Encryptions()
-	out := TargetOutcomeP{Spec: spec, Line: -1}
-
-	for elim.Observations() < a.cfg.MaxObservationsPerTarget && !a.overBudget() {
-		pt := spec.CraftPlaintext(a.rng, rks)
-		elim.Observe(a.ch.Collect(pt, spec.Round))
-		a.meter.observations.Inc()
-
-		if elim.Exhausted() && (a.cfg.Threshold == 1 || elim.Observations() >= a.cfg.MinObservations) {
-			out.Exhausted = true
-			break
-		}
-		if line, ok := elim.Converged(a.cfg.MinObservations); ok {
-			out.Line = line
-			out.Converged = true
-			break
-		}
-	}
-	if out.Converged {
-		out.Nibbles = spec.NibblesForLine(out.Line, a.lineWords)
-	}
-	out.Observations = elim.Observations()
-	a.meter.segmentDone(elim.Observations(), uint64(elim.Candidates().Count()),
-		a.ch.Encryptions()-startEnc, out.Converged, out.Exhausted, false)
-	return out
+	return a, nil
 }
 
 // RoundOutcomeP is the result of attacking one PRESENT round key.
@@ -219,47 +151,23 @@ type RoundOutcomeP struct {
 // Unique reports whether every segment resolved to one nibble and
 // returns the 64-bit round key.
 func (r RoundOutcomeP) Unique() (uint64, bool) {
-	var rk uint64
-	for g, c := range r.Cands {
-		if len(c) != 1 {
-			return 0, false
-		}
-		rk |= uint64(c[0]) << (4 * g)
-	}
-	return rk, true
+	return present80.unique(r.Round, r.Cands[:])
 }
 
 // AttackRoundP attacks round key t across all 16 segments. Crafting
 // for rounds ≥ 2 requires the earlier round keys to be fully resolved:
 // PRESENT's deterministic S-box derivative makes per-target hypothesis
 // enumeration unsound (see RecoverKey80), so — unlike the GIFT paths —
-// no prevCands mode exists.
+// a non-nil prevCands is refused.
 func (a *AttackerP) AttackRoundP(t int, resolved []uint64, prevCands *[16][]uint8) (RoundOutcomeP, error) {
-	if prevCands != nil {
-		return RoundOutcomeP{}, fmt.Errorf("core: PRESENT hypothesis passes are unsupported (deterministic S-box derivative; see RecoverKey80)")
-	}
-	if t >= 2 && len(resolved) < t-1 {
-		return RoundOutcomeP{}, fmt.Errorf("core: attacking round %d needs %d resolved round keys, have %d", t, t-1, len(resolved))
-	}
-
 	out := RoundOutcomeP{Round: t}
-	start := a.ch.Encryptions()
-
-	for g := 0; g < present.Segments; g++ {
-		spec := NewTargetP(t, g)
-		o := a.AttackTargetP(spec, resolved[:max(t-1, 0)])
-		if !o.Converged {
-			if a.overBudget() {
-				return out, ErrBudgetExceeded
-			}
-			return out, fmt.Errorf("core: PRESENT round %d segment %d: %d observations, %w",
-				t, g, o.Observations, ErrNoConvergence)
-		}
-		out.Cands[g] = o.Nibbles
+	var prev [][]uint8
+	if prevCands != nil {
+		prev = prevCands[:]
 	}
-
-	out.Encryptions = a.ch.Encryptions() - start
-	return out, nil
+	var err error
+	out.Encryptions, _, err = a.attackRound(t, resolved, prev, out.Cands[:], nil)
+	return out, err
 }
 
 // KeyResultP is a completed PRESENT-80 key recovery.
@@ -290,26 +198,13 @@ func (a *AttackerP) RecoverKey80() (KeyResultP, error) {
 	if a.lineWords > 1 {
 		return res, fmt.Errorf("core: GRINCH-P full recovery needs 1-word cache lines (got %d-word): PRESENT's deterministic S-box derivative defeats next-round disambiguation", a.lineWords)
 	}
-	start := a.ch.Encryptions()
-
-	var resolved []uint64
-	passes := 0
-	for t := 1; len(resolved) < 2; t++ {
-		passes++
-		out, err := a.AttackRoundP(t, resolved, nil)
-		if err != nil {
-			return res, err
-		}
-		rk, ok := out.Unique()
-		if !ok {
-			return res, fmt.Errorf("core: PRESENT round %d left ambiguity at 1-word lines", t)
-		}
-		resolved = append(resolved, rk)
+	rec, err := a.recover()
+	if err != nil {
+		return res, err
 	}
-
-	copy(res.RoundKeys[:], resolved[:2])
+	copy(res.RoundKeys[:], rec.roundKeys)
 	res.Key = present.RecoverKey80(res.RoundKeys[0], res.RoundKeys[1])
-	res.Encryptions = a.ch.Encryptions() - start
-	res.RoundsAttacked = passes
+	res.Encryptions = rec.encryptions
+	res.RoundsAttacked = rec.passes
 	return res, nil
 }

@@ -112,6 +112,31 @@ func TestPresentWideLineDeterministicDerivative(t *testing.T) {
 	}
 }
 
+// worstPinShareP mirrors worstPinShare for the PRESENT S-box: the
+// largest probability (over uniform x) that a wrong key hypothesis on a
+// parent leaves one chosen output bit of S(x⊕e) equal to that of S(x).
+// The attacker never needs it — PRESENT runs no hypothesis passes, so
+// nothing is confirmed — but it quantifies the S-box's resistance.
+var worstPinShareP = computeWorstPinShareP()
+
+func computeWorstPinShareP() float64 {
+	best := 0
+	for o := 0; o < 4; o++ {
+		for e := uint8(1); e < 16; e++ {
+			same := 0
+			for x := uint8(0); x < 16; x++ {
+				if (present.SBox[x]^present.SBox[x^e])>>o&1 == 0 {
+					same++
+				}
+			}
+			if same > best && same < 16 {
+				best = same
+			}
+		}
+	}
+	return float64(best) / 16
+}
+
 func TestWorstPinShareP(t *testing.T) {
 	if worstPinShareP >= 1 || worstPinShareP < 0.5 {
 		t.Fatalf("worstPinShareP = %v", worstPinShareP)

@@ -58,6 +58,9 @@ type batchState struct {
 
 var batchStatePool = sync.Pool{New: func() any { return new(batchState) }}
 
+// engine64 is the GIFT-64 engine, the one the batch pipeline serves.
+type engine64 = engine[uint64, gift.RoundKey64, TargetSpec, *TargetSpec]
+
 func (bs *batchState) reset() {
 	bs.n, bs.idx = 0, 0
 	bs.nextSize = batchFirstSize
@@ -66,8 +69,8 @@ func (bs *batchState) reset() {
 // refill crafts the next batch and primes it on the channel. Crafting
 // consumes the plaintext rng exactly as the scalar path would, one
 // CraftState per entry, with a snapshot every batchSnapEvery crafts so
-// settle can rewind the tail that is never committed.
-func (bs *batchState) refill(a *Attacker, spec *TargetSpec, rks []gift.RoundKey64) {
+// batchSettle can rewind the tail that is never committed.
+func (bs *batchState) refill(a *engine64, spec *TargetSpec, rks []gift.RoundKey64) {
 	size := bs.nextSize
 	if bs.nextSize < batchMaxSize {
 		bs.nextSize *= 2
@@ -103,7 +106,7 @@ func (bs *batchState) refill(a *Attacker, spec *TargetSpec, rks []gift.RoundKey6
 // refilling when the current batch is drained. The commit itself —
 // counter, events, noise, probe mask — happens inside the channel's
 // CollectPrimed with the scalar path's exact side-effect order.
-func (a *Attacker) batchNext(bs *batchState, spec *TargetSpec, rks []gift.RoundKey64) (set, mask probe.LineSet, retries uint64, err error) {
+func batchNext(a *engine64, bs *batchState, spec *TargetSpec, rks []gift.RoundKey64) (set, mask probe.LineSet, retries uint64, err error) {
 	if bs.idx == bs.n {
 		bs.refill(a, spec, rks)
 	}
@@ -113,14 +116,14 @@ func (a *Attacker) batchNext(bs *batchState, spec *TargetSpec, rks []gift.RoundK
 		set, mask = a.batchCh.CollectPrimed(bs.raw[i], spec.Round)
 		return set, mask, 0, nil
 	}
-	return a.collectRetry(bs.pts[i], *spec)
+	return a.collectRetry(bs.pts[i], spec.Round, spec.Segment)
 }
 
-// settle rewinds the plaintext rng over the crafted-but-uncommitted
+// batchSettle rewinds the plaintext rng over the crafted-but-uncommitted
 // tail of the batch: restore the nearest snapshot at or before the
-// commit cursor and replay the few crafts up to it. After settle the
-// rng state is exactly what the scalar path would have left behind.
-func (bs *batchState) settle(a *Attacker, spec *TargetSpec) {
+// commit cursor and replay the few crafts up to it. After it the rng
+// state is exactly what the scalar path would have left behind.
+func batchSettle(a *engine64, bs *batchState, spec *TargetSpec) {
 	if bs.idx < bs.n {
 		a.rng.Restore(bs.snaps[bs.idx/batchSnapEvery])
 		for i := 0; i < bs.idx%batchSnapEvery; i++ {

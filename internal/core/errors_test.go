@@ -168,7 +168,7 @@ func TestAttackTargetReportsFailureOnWrongHypothesis(t *testing.T) {
 	}
 	rk.U ^= 0xffff // corrupt every U bit
 	spec := NewTarget64(2, 5)
-	o := a.attackTarget(spec, []gift.RoundKey64{rk}, true)
+	o := a.attackTarget(&spec, []gift.RoundKey64{rk}, true)
 	if o.Converged {
 		t.Fatalf("corrupted round key converged to line %d", o.Line)
 	}

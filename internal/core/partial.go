@@ -2,9 +2,10 @@ package core
 
 import "errors"
 
-// SegmentStatus is one per-segment elimination outcome inside a
-// PartialResult: what the attack knew about segment (Round, Segment)
-// when the run stopped.
+// SegmentStatus is one per-segment elimination outcome: what the attack
+// knew about segment (Round, Segment) when the elimination stopped. A
+// PartialResult lists one per segment of the failing round pass; every
+// Outcome carries its own.
 type SegmentStatus struct {
 	Round   int `json:"round"`
 	Segment int `json:"segment"`
@@ -16,26 +17,15 @@ type SegmentStatus struct {
 	// Observations is the elimination's observation count (summed over
 	// restarts).
 	Observations uint64 `json:"observations"`
-	// Restarts / Retries are the recovery actions the segment consumed.
+	// Restarts / Retries are the recovery actions the segment consumed:
+	// threshold-relaxing restarts (Config.MaxRestarts; direct targets
+	// only) and transient channel failures recovered under the retry
+	// policy.
 	Restarts int    `json:"restarts,omitempty"`
 	Retries  uint64 `json:"retries,omitempty"`
 	// Confidence is the converged survivor's presence-ratio separation
 	// from the strongest eliminated line, in [0,1].
 	Confidence float64 `json:"confidence,omitempty"`
-}
-
-// statusFor assembles a SegmentStatus from a target outcome's fields.
-func statusFor(round, segment int, converged bool, line int, observations uint64, restarts int, retries uint64, conf float64) SegmentStatus {
-	return SegmentStatus{
-		Round:        round,
-		Segment:      segment,
-		Converged:    converged,
-		Line:         line,
-		Observations: observations,
-		Restarts:     restarts,
-		Retries:      retries,
-		Confidence:   conf,
-	}
 }
 
 // PartialResult is the graceful-degradation report of an attack that
@@ -88,27 +78,6 @@ func (p *PartialResult) Confidence() float64 {
 		return 0
 	}
 	return sum / float64(n)
-}
-
-// newPartialResult builds the header of a partial result.
-func newPartialResult(cipher string, resolved int, err error, encryptions uint64) *PartialResult {
-	return &PartialResult{
-		Cipher:         cipher,
-		ResolvedRounds: resolved,
-		Encryptions:    encryptions,
-		Reason:         Reason(err),
-	}
-}
-
-// fillSegments copies the failing pass's statuses and pads the
-// never-reached remainder of its round as unattempted. Statuses are
-// appended in segment order by AttackRound, so the pad starts where
-// they end.
-func (p *PartialResult) fillSegments(statuses []SegmentStatus, round, total int) {
-	p.Segments = append(p.Segments, statuses...)
-	for g := len(statuses); g < total; g++ {
-		p.Segments = append(p.Segments, SegmentStatus{Round: round, Segment: g, Line: -1})
-	}
 }
 
 // Reason classifies an attack error into the stable PartialResult

@@ -10,18 +10,20 @@
 //  2. Probe the cache — delegated to a probe.Channel
 //  3. Eliminate candidates — eliminate.go
 //  4. Reverse-engineer key bits — TargetSpec.KeyBits
-//  5. Update plaintext generation for the next round — attack.go
+//  5. Update plaintext generation for the next round — engine.go
 //
 // Wide cache lines hide the low index bits (paper §III-D); the attack
 // then carries up to four candidate key-bit pairs per segment into the
 // next round, where wrong hypotheses destroy the pinning and are pruned
-// (attack.go).
+// (engine.go). The same engine attacks GIFT-128 and PRESENT-80 through
+// per-cipher descriptors (attack128.go, attackpresent.go).
 package core
 
 import (
 	"fmt"
 	"math/bits"
 
+	"grinch/internal/bitutil"
 	"grinch/internal/gift"
 	"grinch/internal/probe"
 	"grinch/internal/rng"
@@ -48,6 +50,7 @@ type Source struct {
 // Segment at the input of round Round+1's SubCells are forced to 1
 // before the round-Round AddRoundKey, so the observed index differs from
 // 0b1111 exactly by the two round-key bits and the known round constant.
+// The geometry is GIFT-64's; TargetSpec128 reuses it for GIFT-128.
 type TargetSpec struct {
 	// Round is the attacked round key (1-based): the crafted constraint
 	// acts on the S-box accesses of round Round+1.
@@ -59,10 +62,13 @@ type TargetSpec struct {
 	// indexed by target bit position (Sources[j] feeds index bit j).
 	Sources [4]Source
 	// ConstXor is the round-constant contribution to the observed
-	// index (bit 3 only; bits 0..2 never carry constants in GIFT-64).
+	// index (bit 3 only; bits 0..2 never carry constants in GIFT).
 	ConstXor uint8
+	// keyShift is the index bit AddRoundKey XORs the V key bit into; U
+	// lands one bit higher. 0 for GIFT-64, 1 for GIFT-128.
+	keyShift uint8
 
-	// Crafting fast-path metadata, precomputed by buildTarget64 so the
+	// Crafting fast-path metadata, precomputed by compileCraft so the
 	// per-plaintext hot loop is free of slice chases and pin-tracking
 	// branches. craftInputs[i] packs Sources[i].Inputs as eight nibbles;
 	// craftSrcShift[i] is 4*Sources[i].Segment; craftUnpinned lists the
@@ -98,7 +104,8 @@ func buildTarget64Specs() [gift.Rounds64][gift.Segments64]TargetSpec {
 	var specs [gift.Rounds64][gift.Segments64]TargetSpec
 	for t := 1; t <= gift.Rounds64; t++ {
 		for g := 0; g < gift.Segments64; g++ {
-			specs[t-1][g] = buildTarget64(t, g)
+			specs[t-1][g] = buildGIFTTarget(t, g, gift.InvPerm64[:], 0)
+			specs[t-1][g].compileCraft()
 		}
 	}
 	return specs
@@ -107,42 +114,48 @@ func buildTarget64Specs() [gift.Rounds64][gift.Segments64]TargetSpec {
 // NewTarget64 returns the target specification for round key t
 // (1-based) and segment g of GIFT-64.
 func NewTarget64(t, g int) TargetSpec {
-	if t < 1 || t > gift.Rounds64 {
-		panic(fmt.Sprintf("core: round %d out of range", t))
-	}
-	if g < 0 || g >= gift.Segments64 {
-		panic(fmt.Sprintf("core: segment %d out of range", g))
-	}
+	checkTarget(t, g, gift.Rounds64, gift.Segments64)
 	return target64Specs[t-1][g]
 }
 
-// buildTarget64 constructs one specification. This is paper Algorithm 1
-// (SET_TARGET_BITS): the state positions that AddRoundKey XORs with the
-// target key bits are inverse-permuted to locate the S-box output bits
-// that must be pinned.
-func buildTarget64(t, g int) TargetSpec {
-	spec := TargetSpec{Round: t, Segment: g}
+// checkTarget panics unless round key t and segment g exist in a cipher
+// with the given round and segment counts.
+func checkTarget(t, g, rounds, segments int) {
+	if t < 1 || t > rounds {
+		panic(fmt.Sprintf("core: round %d out of range", t))
+	}
+	if g < 0 || g >= segments {
+		panic(fmt.Sprintf("core: segment %d out of range", g))
+	}
+}
+
+// buildGIFTTarget is paper Algorithm 1 (SET_TARGET_BITS) for either
+// GIFT variant: the state positions that AddRoundKey XORs with the
+// target key bits are inverse-permuted (invPerm) to locate the S-box
+// output bits that must be pinned.
+func buildGIFTTarget(t, g int, invPerm []uint8, keyShift uint8) TargetSpec {
+	spec := TargetSpec{Round: t, Segment: g, keyShift: keyShift}
 	for j := 0; j < 4; j++ {
 		// State bit 4g+j of the round-(t+1) S-box input comes from
-		// S-box output bit InvPerm64[4g+j] of round t.
-		p := int(gift.InvPerm64[4*g+j])
+		// S-box output bit invPerm[4g+j] of round t.
+		p := int(invPerm[4*g+j])
 		spec.Sources[j] = Source{
 			Segment: p / 4,
 			Bit:     p % 4,
 			Inputs:  sboxBitList(p % 4),
 		}
 	}
-	// Round-constant contribution to the observed index: GIFT-64 XORs a
-	// fixed 1 into state bit 63 (segment 15, bit 3) and constant bits
-	// c_i into bits 4i+3 for i = 0..5 (segments 0..5, bit 3).
+	// Round-constant contribution to the observed index: GIFT XORs a
+	// fixed 1 into the state's top bit (last segment, bit 3) and
+	// constant bits c_i into bits 4i+3 for i = 0..5 (segments 0..5,
+	// bit 3).
 	c := gift.RoundConstants[t-1]
 	switch {
-	case g == 15:
+	case g == len(invPerm)/4-1:
 		spec.ConstXor = 1 << 3
 	case g < 6:
 		spec.ConstXor = (c >> g & 1) << 3
 	}
-	spec.compileCraft()
 	return spec
 }
 
@@ -186,7 +199,7 @@ const pinnedValue = 0xf
 // Round+1, segment Segment, when round key Round has V bit v and U bit u
 // at this segment.
 func (t TargetSpec) ExpectedIndex(v, u uint8) uint8 {
-	return pinnedValue ^ t.ConstXor ^ (v&1 | u&1<<1)
+	return pinnedValue ^ t.ConstXor ^ (v&1|u&1<<1)<<t.keyShift
 }
 
 // KeyBits reverse-engineers the two key bits from the observed index
@@ -194,7 +207,7 @@ func (t TargetSpec) ExpectedIndex(v, u uint8) uint8 {
 // v is the bit XORed at state position 4g (key bit g of the round key's
 // V word) and u the bit at 4g+1 (bit g of U).
 func (t TargetSpec) KeyBits(index uint8) (v, u uint8) {
-	d := index ^ pinnedValue ^ t.ConstXor
+	d := (index ^ pinnedValue ^ t.ConstXor) >> t.keyShift
 	return d & 1, d >> 1 & 1
 }
 
@@ -224,12 +237,17 @@ func (t TargetSpec) PairsForLine(line, lineWords int) []uint8 {
 	return pairs
 }
 
+func (t *TargetSpec) at() (round, segment int) { return t.Round, t.Segment }
+
 // CraftState builds the round-Round S-box input state (paper Algorithm
 // 2, GENERATE): each source segment gets a value drawn from its valid
 // list so the pinned output bit is 1; every other segment is random.
+// Hand-built specs take the general loop; specs built by NewTarget64
+// never do (the GIFT S-box is balanced), but the method's contract does
+// not require 8-entry lists.
 func (t *TargetSpec) CraftState(r *rng.Source) uint64 {
 	if !t.craftFast {
-		return t.craftStateGeneral(r)
+		return t.craftWide(r, gift.Segments64).Lo
 	}
 	// Fast path over the compiled metadata: every source draw is
 	// Intn(8) — and IntnPow2(3) is the same draw, same value, small
@@ -261,21 +279,21 @@ func (t *TargetSpec) CraftState(r *rng.Source) uint64 {
 	return state
 }
 
-// craftStateGeneral handles source lists of any length; specs built by
-// NewTarget64 never take it (the GIFT S-box is balanced), but the
-// method's contract does not require 8-entry lists.
-func (t *TargetSpec) craftStateGeneral(r *rng.Source) uint64 {
-	var state uint64
-	var pinned uint16
+// craftWide is paper Algorithm 2 over the first segments nibbles of a
+// 128-bit state (GIFT-64 uses the low half): each source segment gets a
+// value drawn from its valid list, every other segment is random.
+func (t *TargetSpec) craftWide(r *rng.Source, segments uint) bitutil.Word128 {
+	var state bitutil.Word128
+	var pinned uint32
 	for i := range t.Sources {
 		src := &t.Sources[i]
 		x := src.Inputs[r.Intn(len(src.Inputs))]
-		state |= uint64(x) << (4 * src.Segment)
+		state = state.SetNibble(uint(src.Segment), uint64(x))
 		pinned |= 1 << src.Segment
 	}
-	for seg := 0; seg < gift.Segments64; seg++ {
+	for seg := uint(0); seg < segments; seg++ {
 		if pinned&(1<<seg) == 0 {
-			state |= r.Nibble() << (4 * seg)
+			state = state.SetNibble(seg, r.Nibble())
 		}
 	}
 	return state
@@ -286,15 +304,20 @@ func (t *TargetSpec) craftStateGeneral(r *rng.Source) uint64 {
 // hypothesized) earlier round keys. For Round == 1 the state is the
 // plaintext (paper Step 5 reduces to Step 1).
 func (t TargetSpec) CraftPlaintext(r *rng.Source, rks []gift.RoundKey64) uint64 {
-	state := t.CraftState(r)
-	if t.Round == 1 {
+	return craftPlaintext(t.CraftState(r), t.Round, rks, gift.PartialDecrypt64)
+}
+
+// craftPlaintext inverts rounds round-1..1 of a crafted state with the
+// cipher's partial decryption; every cipher's CraftPlaintext is this.
+func craftPlaintext[P, K any](state P, round int, rks []K, decrypt func(P, []K, int) P) P {
+	if round == 1 {
 		return state
 	}
-	if len(rks) < t.Round-1 {
+	if len(rks) < round-1 {
 		panic(fmt.Sprintf("core: crafting round %d needs %d round keys, have %d",
-			t.Round, t.Round-1, len(rks)))
+			round, round-1, len(rks)))
 	}
-	return gift.PartialDecrypt64(state, rks, t.Round-1)
+	return decrypt(state, rks, round-1)
 }
 
 // ParentSegments returns the four round-(Round-1)-key segments whose key

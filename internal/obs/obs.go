@@ -90,7 +90,7 @@ type Event struct {
 	// Enc is the observation channel's encryption counter at emission
 	// (1-based; the paper's attack-effort metric).
 	Enc uint64 `json:"enc,omitempty"`
-	// Cipher labels the victim ("GIFT-64", "GIFT-128", "PRESENT-80").
+	// Cipher labels the victim ("GIFT-64", "GIFT-128", "PRESENT").
 	Cipher string `json:"cipher,omitempty"`
 	// Round is the attacked round-key index; Segment the 4-bit segment
 	// under attack.
