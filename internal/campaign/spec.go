@@ -111,7 +111,20 @@ func axisLen(n int) int {
 // Seed — is a pure function of the spec, which is what makes journals
 // reusable and results independent of scheduling.
 func (s Spec) Jobs() []Job {
+	return s.JobsIn(0, s.NumJobs())
+}
+
+// JobsIn builds exactly Jobs()[start:end] without building the rest of
+// the grid: each index is decoded into its axis coordinates directly.
+// The range is clamped to [0, NumJobs()]; an empty or inverted range
+// yields no jobs. A shard worker expands only its lease's range.
+func (s Spec) JobsIn(start, end int) []Job {
 	s = s.normalized()
+	start = max(start, 0)
+	end = min(end, s.NumJobs())
+	if start >= end {
+		return nil
+	}
 	platforms := s.Platforms
 	if len(platforms) == 0 {
 		platforms = []string{""}
@@ -141,41 +154,41 @@ func (s Spec) Jobs() []Job {
 		retry = *s.Retry
 	}
 
-	jobs := make([]Job, 0, s.NumJobs())
-	idx := 0
-	for _, pl := range platforms {
-		for _, f := range mhz {
-			for _, lw := range lineWords {
-				for _, fl := range flush {
-					for _, pr := range probeRounds {
-						for _, plan := range plans {
-							for t := 0; t < s.Trials; t++ {
-								jobs = append(jobs, Job{
-									Index: idx,
-									Point: Point{
-										Kind:       s.Kind,
-										Platform:   pl,
-										MHz:        f,
-										LineWords:  lw,
-										Flush:      fl,
-										ProbeRound: pr,
-										Fault:      plan.Name,
-										Trial:      t,
-									},
-									Seed:       DeriveSeed(s.Seed, idx),
-									Budget:     s.Budget,
-									FaultPlan:  plan,
-									Retry:      retry,
-									DeadlinePS: s.DeadlinePS,
-									ScalarPath: s.ScalarPath,
-								})
-								idx++
-							}
-						}
-					}
-				}
-			}
+	jobs := make([]Job, 0, end-start)
+	for idx := start; idx < end; idx++ {
+		// Mixed-radix decode, innermost axis (trials) first.
+		rest := idx
+		digit := func(n int) int {
+			d := rest % n
+			rest /= n
+			return d
 		}
+		t := digit(s.Trials)
+		plan := plans[digit(len(plans))]
+		pr := probeRounds[digit(len(probeRounds))]
+		fl := flush[digit(len(flush))]
+		lw := lineWords[digit(len(lineWords))]
+		f := mhz[digit(len(mhz))]
+		pl := platforms[rest]
+		jobs = append(jobs, Job{
+			Index: idx,
+			Point: Point{
+				Kind:       s.Kind,
+				Platform:   pl,
+				MHz:        f,
+				LineWords:  lw,
+				Flush:      fl,
+				ProbeRound: pr,
+				Fault:      plan.Name,
+				Trial:      t,
+			},
+			Seed:       DeriveSeed(s.Seed, idx),
+			Budget:     s.Budget,
+			FaultPlan:  plan,
+			Retry:      retry,
+			DeadlinePS: s.DeadlinePS,
+			ScalarPath: s.ScalarPath,
+		})
 	}
 	return jobs
 }

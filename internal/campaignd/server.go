@@ -83,6 +83,9 @@ type Server struct {
 	resultsIngested int
 	duplicates      int
 	reissues        int
+	// ingested is Ingest's reusable list of one batch's fresh results
+	// (guarded by mu).
+	ingested []ingested
 
 	// Ingest admission control: in-flight ingest requests and the shed
 	// count live outside mu so admission never queues behind ingestion.
@@ -124,6 +127,13 @@ type shardState struct {
 	// result's wall duration before canonicalization strips it.
 	encs  uint64
 	latMS *metrics.Histogram
+}
+
+// ingested is one fresh result of a batch under ingestion: its job
+// index and the wall duration that canonicalization strips.
+type ingested struct {
+	job    int
+	wallNS int64
 }
 
 type lease struct {
@@ -270,7 +280,7 @@ func (s *Server) buildCampaign(id string, req SubmitRequest, dir string) (*campa
 		dir:  dir,
 	}
 	for _, rng := range Partition(jobs, shardSize) {
-		sh := &shardState{rng: rng, state: ShardPending, results: map[int]campaign.Result{}}
+		sh := &shardState{rng: rng, state: ShardPending, results: make(map[int]campaign.Result, rng.Len())}
 		sh.latMS = s.reg.WallHistogram("campaignd_shard_job_ms",
 			"Per-job wall duration at ingestion, milliseconds, by shard.",
 			metrics.DurationMSBuckets,
@@ -479,9 +489,15 @@ func (s *Server) Ingest(leaseID string, results []campaign.Result) error {
 	}
 	w := s.seenLocked(l.worker)
 	l.expiry = s.now().Add(s.opts.LeaseTTL) // a result batch is as good as a heartbeat
+	// Dedupe and stage the batch, then write its journal lines once. A
+	// result outside the shard stops the batch: the results before it
+	// are kept, exactly as if each had been ingested on its own.
+	fresh := s.ingested[:0]
+	var batchErr error
 	for _, r := range results {
 		if !sh.rng.Contains(r.Job) {
-			return fmt.Errorf("campaignd: lease %s reported job %d outside %s", leaseID, r.Job, sh.rng)
+			batchErr = fmt.Errorf("campaignd: lease %s reported job %d outside %s", leaseID, r.Job, sh.rng)
+			break
 		}
 		// Latency must be read before Canonical strips it.
 		wallNS := r.DurationNS
@@ -490,21 +506,35 @@ func (s *Server) Ingest(leaseID string, results []campaign.Result) error {
 			s.duplicates++
 			continue
 		}
-		if err := sh.journal.Append(r); err != nil {
-			return err
+		if err := sh.journal.stage(r); err != nil {
+			batchErr = err
+			break
 		}
 		sh.results[r.Job] = r
+		fresh = append(fresh, ingested{job: r.Job, wallNS: wallNS})
+	}
+	s.ingested = fresh
+	if err := sh.journal.commit(); err != nil {
+		// The batch is at most partly on disk: forget all of it, so the
+		// worker's retry ingests it afresh (a reload dedupes by index).
+		for _, f := range fresh {
+			delete(sh.results, f.job)
+		}
+		return err
+	}
+	for _, f := range fresh {
+		r := sh.results[f.job]
 		if r.Failed {
 			sh.failed++
 		}
 		sh.encs += r.Encryptions
-		if wallNS > 0 {
-			sh.latMS.Observe(uint64(wallNS) / 1e6)
+		if f.wallNS > 0 {
+			sh.latMS.Observe(uint64(f.wallNS) / 1e6)
 		}
-		s.resultsIngested++
-		w.results++
 	}
-	return nil
+	s.resultsIngested += len(fresh)
+	w.results += len(fresh)
+	return batchErr
 }
 
 // ApplyTelemetry installs a worker's cumulative metrics delta. Stale

@@ -1,6 +1,7 @@
 package campaignd
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -42,9 +43,24 @@ type shardJournalHeader struct {
 
 // shardJournal appends canonical results for one shard to disk. A nil
 // *shardJournal (memory-only server) is valid and appends nowhere.
+// Records are staged in buf and committed with one write, so an
+// ingested batch costs one write however many results it carries.
 type shardJournal struct {
 	f    *os.File
 	path string
+	buf  bytes.Buffer
+	enc  *json.Encoder
+	// rec holds the result being staged, so encoding it through a
+	// pointer does not copy it to the heap.
+	rec campaign.Result
+	// writes counts committed writes (benchmarks read it).
+	writes int
+}
+
+func newShardJournal(f *os.File, path string) *shardJournal {
+	j := &shardJournal{f: f, path: path}
+	j.enc = json.NewEncoder(&j.buf)
+	return j
 }
 
 func shardJournalPath(dir string, shard int) string {
@@ -55,7 +71,7 @@ func shardJournalPath(dir string, shard int) string {
 // shard and returns the results it already holds, keyed by job index.
 func openShardJournal(dir, campaignID, fingerprint string, rng ShardRange) (*shardJournal, map[int]campaign.Result, error) {
 	path := shardJournalPath(dir, rng.Shard)
-	prior := make(map[int]campaign.Result)
+	prior := make(map[int]campaign.Result, rng.Len())
 	data, err := os.ReadFile(path)
 	switch {
 	case os.IsNotExist(err):
@@ -63,10 +79,10 @@ func openShardJournal(dir, campaignID, fingerprint string, rng ShardRange) (*sha
 		if err != nil {
 			return nil, nil, fmt.Errorf("campaignd: creating shard journal: %w", err)
 		}
-		j := &shardJournal{f: f, path: path}
+		j := newShardJournal(f, path)
 		hdr := shardJournalHeader{Campaign: campaignID, Fingerprint: fingerprint,
 			Shard: rng.Shard, Start: rng.Start, End: rng.End}
-		if err := j.appendJSON(hdr); err != nil {
+		if err := j.Append(hdr); err != nil {
 			f.Close()
 			return nil, nil, err
 		}
@@ -101,24 +117,57 @@ func openShardJournal(dir, campaignID, fingerprint string, rng ShardRange) (*sha
 	if err != nil {
 		return nil, nil, fmt.Errorf("campaignd: reopening shard journal: %w", err)
 	}
-	return &shardJournal{f: f, path: path}, prior, nil
+	// A hard kill can leave a final line without its newline. Cut it
+	// off before appending, or the next record is glued onto the
+	// fragment and the following reload drops that job. A header that
+	// parsed but lost its newline is terminated instead.
+	if keep := bytes.LastIndexByte(data, '\n') + 1; keep < len(data) {
+		if keep == 0 {
+			_, err = f.Write([]byte{'\n'})
+		} else {
+			err = f.Truncate(int64(keep))
+		}
+		if err != nil {
+			f.Close()
+			return nil, nil, fmt.Errorf("campaignd: repairing torn tail of shard journal %s: %w", path, err)
+		}
+	}
+	return newShardJournal(f, path), prior, nil
 }
 
-// Append records one canonical result. Nil receivers (memory-only
-// mode) accept and drop.
-func (j *shardJournal) Append(r campaign.Result) error {
+// Append writes one record (the header or a canonical result) as its
+// own line: the bytes of json.Marshal plus a newline. Nil receivers
+// (memory-only mode) accept and drop.
+func (j *shardJournal) Append(v any) error {
 	if j == nil {
 		return nil
 	}
-	return j.appendJSON(r)
-}
-
-func (j *shardJournal) appendJSON(v any) error {
-	b, err := json.Marshal(v)
-	if err != nil {
+	if err := j.enc.Encode(v); err != nil {
 		return err
 	}
-	if _, err := j.f.Write(append(b, '\n')); err != nil {
+	return j.commit()
+}
+
+// stage encodes one canonical result into the pending buffer, exactly
+// as Append would write it. Nil-safe.
+func (j *shardJournal) stage(r campaign.Result) error {
+	if j == nil {
+		return nil
+	}
+	j.rec = r
+	return j.enc.Encode(&j.rec)
+}
+
+// commit writes every staged record in one write and empties the
+// buffer. Nil-safe.
+func (j *shardJournal) commit() error {
+	if j == nil || j.buf.Len() == 0 {
+		return nil
+	}
+	_, err := j.f.Write(j.buf.Bytes())
+	j.buf.Reset()
+	j.writes++
+	if err != nil {
 		return fmt.Errorf("campaignd: appending to shard journal: %w", err)
 	}
 	return nil

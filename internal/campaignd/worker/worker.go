@@ -4,10 +4,10 @@
 // (campaign.ExecuteJobs), streams result batches back, and heartbeats
 // to keep the lease alive.
 //
-// Determinism is inherited, not re-implemented: the worker re-expands
-// the canonical job grid from the spec in its lease (a pure function
-// of the spec), slices its shard range, skips the indices the lease
-// reports already done, and every result it computes is the same bytes
+// Determinism is inherited, not re-implemented: the worker expands its
+// shard's range of the canonical job grid from the spec in its lease (a
+// pure function of the spec), skips the indices the lease reports
+// already done, and every result it computes is the same bytes
 // any other node would compute. Crash-safety is the coordinator's
 // journal plus this pull loop: a worker that dies mid-shard simply
 // stops heartbeating, the lease expires, and the next worker resumes
@@ -40,8 +40,11 @@ type Config struct {
 	// Workers bounds the local pool (0: GOMAXPROCS).
 	Workers int
 	// Batch is how many results accumulate before a report flush (0:
-	// DefaultBatch). Smaller batches lose less to a crash; larger ones
-	// amortize round-trips.
+	// DefaultBatch). Reports run beside the executors, so a crash can
+	// lose up to three batches — one in flight, one queued, one filling
+	// — which the next lease holder re-executes deterministically.
+	// Smaller batches lose less to a crash; larger ones amortize
+	// round-trips.
 	Batch int
 	// Poll is the idle sleep between lease attempts when the
 	// coordinator has no pending shard (0: DefaultPoll).
@@ -74,8 +77,9 @@ type Config struct {
 	// Logf receives operator log lines; nil discards them.
 	Logf func(format string, args ...any)
 
-	// client overrides the HTTP client (tests).
+	// client overrides the HTTP client and meter the telemetry (tests).
 	client *campaignd.Client
+	meter  *meter
 }
 
 // Defaults.
@@ -127,7 +131,10 @@ func Run(ctx context.Context, cfg Config) error {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	m := newMeter()
+	m := cfg.meter
+	if m == nil {
+		m = newMeter()
+	}
 	client := cfg.client
 	if client == nil {
 		pol := campaignd.DefaultRetryPolicy()
@@ -221,20 +228,21 @@ func runShard(ctx context.Context, cfg Config, client *campaignd.Client, m *mete
 		// loudly instead of dividing it into a panicking ticker.
 		return fmt.Errorf("worker %s: lease %s carries invalid ttl_ms %d (must be positive); refusing the shard", cfg.ID, l.ID, l.TTLMS)
 	}
-	all := l.Spec.Jobs()
-	if l.End > len(all) {
-		return fmt.Errorf("worker %s: lease %s range [%d,%d) exceeds grid size %d", cfg.ID, l.ID, l.Start, l.End, len(all))
+	if n := l.Spec.NumJobs(); l.End > n {
+		return fmt.Errorf("worker %s: lease %s range [%d,%d) exceeds grid size %d", cfg.ID, l.ID, l.Start, l.End, n)
 	}
 	done := make(map[int]bool, len(l.DoneJobs))
 	for _, idx := range l.DoneJobs {
 		done[idx] = true
 	}
-	jobs := make([]campaign.Job, 0, l.Len())
-	for _, j := range all[l.Start:l.End] {
+	jobs := l.Spec.JobsIn(l.Start, l.End)
+	todo := jobs[:0]
+	for _, j := range jobs {
 		if !done[j.Index] {
-			jobs = append(jobs, j)
+			todo = append(todo, j)
 		}
 	}
+	jobs = todo
 	logf("worker %s: lease %s: %s %s — %d jobs (%d resumed)", cfg.ID, l.ID, l.Campaign, l.ShardRange, len(jobs), len(l.DoneJobs))
 
 	// Heartbeat at a third of the TTL until the shard is finished. A
@@ -271,67 +279,106 @@ func runShard(ctx context.Context, cfg Config, client *campaignd.Client, m *mete
 		}
 	}()
 
-	// flush reports the pending batch, persistently: each round is a
-	// full client call (which retries transient failures internally);
-	// if a round still fails, the worker backs off and tries again up
-	// to FlushRetries rounds instead of abandoning a shard whose
-	// results it already computed. The batch is only cleared on
-	// success, and the server dedupes by job index, so a response lost
-	// after the commit costs one duplicate round-trip, never a
+	// report sends one batch, persistently: each round is a full
+	// client call (which retries transient failures internally); if a
+	// round still fails, the worker backs off and tries again up to
+	// FlushRetries rounds instead of abandoning a shard whose results it
+	// already computed. The server dedupes by job index, so a response
+	// lost after the commit costs one duplicate round-trip, never a
 	// double-count. A revoked lease or cancelled shard stops the
 	// persistence immediately — those failures cannot heal.
-	batch := make([]campaign.Result, 0, cfg.Batch)
-	flush := func() error {
-		if len(batch) == 0 {
-			return nil
-		}
-		var err error
+	report := func(batch []campaign.Result) error {
 		for round := 1; ; round++ {
-			err = client.ReportDelta(l.ID, batch, cfg.ID, m.delta())
+			err := client.ReportDelta(l.ID, batch, cfg.ID, m.delta())
 			if err == nil {
 				m.batches.Inc()
-				batch = batch[:0]
 				return nil
 			}
-			if errors.Is(err, campaignd.ErrLeaseGone) || shardCtx.Err() != nil {
+			if errors.Is(err, campaignd.ErrLeaseGone) {
 				return err
+			}
+			if shardCtx.Err() != nil {
+				return context.Cause(shardCtx)
 			}
 			if round >= cfg.FlushRetries {
 				return fmt.Errorf("worker %s: lease %s: flush failed after %d rounds: %w", cfg.ID, l.ID, round, err)
 			}
-			wait := flushBackoffBase << uint(round-1)
-			if wait > flushBackoffMax {
-				wait = flushBackoffMax
-			}
+			wait := min(flushBackoffBase<<uint(round-1), flushBackoffMax)
 			m.flushRetry(wait)
 			logf("worker %s: lease %s: flush round %d failed (%v); holding %d results and retrying in %s",
 				cfg.ID, l.ID, round, err, len(batch), wait)
 			if !sleepCtx(shardCtx, wait) {
-				if cause := context.Cause(shardCtx); cause != nil {
-					return cause
-				}
-				return shardCtx.Err()
+				return context.Cause(shardCtx)
 			}
 		}
+	}
+
+	// The executors never wait on the coordinator while the pipeline
+	// has room. Emit only appends to the filling batch and hands each
+	// full one to the shard's reporter goroutine through a one-slot
+	// queue, so at most one report is in flight and one is queued; emit
+	// blocks only when both are taken, and gives up once the shard is
+	// cancelled. The reporter sends batches in order, recycles a batch
+	// only once it is acknowledged, and cancels the shard on any
+	// failure. It returns after the last batch is acknowledged, so the
+	// complete round-trip below can never overtake a report.
+	pending := make(chan []campaign.Result, 1)
+	// spare returns acknowledged batches for reuse: at most three
+	// batches circulate and one of them is always filling, so two slots
+	// hold every spare one.
+	spare := make(chan []campaign.Result, 2)
+	reported := make(chan error, 1)
+	go func() {
+		for batch := range pending {
+			if err := report(batch); err != nil {
+				stopShard(err)
+				reported <- err
+				return
+			}
+			select {
+			case spare <- batch[:0]:
+			default:
+			}
+		}
+		reported <- nil
+	}()
+	batch := make([]campaign.Result, 0, cfg.Batch)
+	handoff := func() error {
+		select {
+		case pending <- batch:
+		case <-shardCtx.Done():
+			return context.Cause(shardCtx)
+		}
+		select {
+		case batch = <-spare:
+		default:
+			batch = make([]campaign.Result, 0, cfg.Batch)
+		}
+		return nil
 	}
 	execErr := campaign.ExecuteJobs(shardCtx, jobs, cfg.Exec, cfg.Workers, func(r campaign.Result) error {
 		m.result(r)
 		batch = append(batch, r)
 		if len(batch) >= cfg.Batch {
-			return flush()
+			return handoff()
 		}
 		return nil
 	})
+	if execErr == nil && len(batch) > 0 {
+		execErr = handoff()
+	}
+	close(pending)
+	reportErr := <-reported
 	stopShard(nil)
 	<-hbDone
 	if cause := context.Cause(shardCtx); errors.Is(cause, campaignd.ErrLeaseGone) {
 		return campaignd.ErrLeaseGone
 	}
+	if reportErr != nil {
+		return reportErr
+	}
 	if execErr != nil {
 		return execErr
-	}
-	if err := flush(); err != nil {
-		return err
 	}
 	// Count the shard before snapshotting the delta: the complete
 	// round-trip is the worker's last word on this shard, and it may be
