@@ -723,3 +723,134 @@ func TestFailureAccountingAcrossResume(t *testing.T) {
 		t.Fatalf("full replay jobs_failed = %d, want %d (not double-counted)", got, priorFailed+wantExecFailed)
 	}
 }
+
+// appendRaw appends bytes to a closed journal file, standing in for
+// what a hard kill or a bad disk leaves behind.
+func appendRaw(t *testing.T, path, s string) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(s); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestJournalTornTailReopen: a hard kill leaves a final record without
+// its newline. Reopening must cut the fragment off before appending,
+// or the next record is glued onto it and the reload after that
+// silently drops the job.
+func TestJournalTornTailReopen(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "toy.journal")
+	spec := testSpec()
+	j, _, err := OpenJournal(path, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, job := range []int{0, 1} {
+		if err := j.Append(Result{Job: job, Seed: uint64(job)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	appendRaw(t, path, `{"job":2,"poi`)
+
+	j, prior, err := OpenJournal(path, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(prior) != 2 {
+		t.Fatalf("first reopen: %d prior results, want 2 (the torn job re-runs)", len(prior))
+	}
+	if err := j.Append(Result{Job: 3, Seed: 3}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	j, prior, err = OpenJournal(path, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	for _, job := range []int{0, 1, 3} {
+		if _, ok := prior[job]; !ok {
+			t.Errorf("reload lost job %d (have %d results)", job, len(prior))
+		}
+	}
+	if len(prior) != 3 {
+		t.Errorf("reload: %d results, want 3", len(prior))
+	}
+}
+
+// TestJournalRejectsMidFileCorruption: a newline-terminated line that
+// does not parse is not a torn tail. Skipping it would hide a damaged
+// file, so opening fails and names the file.
+func TestJournalRejectsMidFileCorruption(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "toy.journal")
+	spec := testSpec()
+	j, _, err := OpenJournal(path, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Append(Result{Job: 0}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	appendRaw(t, path, "garbage\n{\"job\":1}\n")
+
+	j, _, err = OpenJournal(path, spec)
+	if err == nil {
+		j.Close()
+		t.Fatal("journal with a corrupt middle line opened")
+	}
+	if !strings.Contains(err.Error(), path) {
+		t.Errorf("error %q does not name the journal file", err)
+	}
+}
+
+// failingSink refuses every result.
+type failingSink struct{ writes int }
+
+func (s *failingSink) Begin(Spec, int) error { return nil }
+func (s *failingSink) Write(Result) error {
+	s.writes++
+	return fmt.Errorf("sink full")
+}
+func (s *failingSink) Close() error { return nil }
+
+// TestSinkErrorStopsDispatch: once a sink write fails nothing more can
+// be delivered, so the rest of the grid must not be executed.
+func TestSinkErrorStopsDispatch(t *testing.T) {
+	spec := Spec{Name: "big", Kind: "toy", Seed: 7, Trials: 2000}
+	var mu sync.Mutex
+	ran := 0
+	exec := func(job Job, tr obs.Tracer) (Measurement, error) {
+		mu.Lock()
+		ran++
+		mu.Unlock()
+		return Measurement{Encryptions: 1}, nil
+	}
+	sink := &failingSink{}
+	_, err := Run(context.Background(), spec, exec, Options{Workers: 2, Sinks: []Sink{sink}})
+	if err == nil || !strings.Contains(err.Error(), "sink full") {
+		t.Fatalf("Run returned %v, want the sink error", err)
+	}
+	if sink.writes != 1 {
+		t.Errorf("sink saw %d writes after failing, want 1", sink.writes)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if ran > spec.NumJobs()/2 {
+		t.Errorf("executed %d of %d jobs after the sink failed on the first", ran, spec.NumJobs())
+	}
+}
