@@ -167,6 +167,7 @@ func DefaultDeterministicPkgs() []string {
 		"internal/faults",
 		"internal/campaign",
 		"internal/campaignd",
+		"internal/journal",
 		// Covered by the internal/campaignd tree entry above, but listed
 		// explicitly: replayable fault schedules are the chaos package's
 		// whole contract (DESIGN.md §16) — injection decisions derive

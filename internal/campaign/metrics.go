@@ -96,8 +96,9 @@ func (m *Metrics) jobStarted() {
 	m.inFlight.Add(1)
 }
 
+func (m *Metrics) jobEnded() { m.inFlight.Add(-1) }
+
 func (m *Metrics) jobFinished(r Result) {
-	m.inFlight.Add(-1)
 	m.jobsDone.Add(1)
 	if r.Failed {
 		m.jobsFailed.Add(1)
@@ -108,6 +109,6 @@ func (m *Metrics) jobFinished(r Result) {
 	m.mu.Unlock()
 }
 
-// drainQueue zeroes the queue after a cancellation so a final snapshot
-// does not report phantom pending work.
+// drainQueue zeroes the jobs a stopped run never dispatched, so a
+// final snapshot does not report phantom pending work.
 func (m *Metrics) drainQueue() { m.queueDepth.Store(0) }

@@ -3,10 +3,9 @@ package campaign
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
 	"time"
 
+	"grinch/internal/journal"
 	"grinch/internal/obs"
 	"grinch/internal/obs/metrics"
 )
@@ -71,7 +70,8 @@ type Report struct {
 // Cancellation: when ctx is cancelled, dispatch stops, in-flight jobs
 // drain, the journal is flushed, and Run returns the partial report
 // with ctx's error. A later Run with the same spec and journal resumes
-// where this one stopped.
+// where this one stopped. A sink, trace or journal error stops
+// dispatch the same way and is returned.
 //
 // Panics inside the executor are recovered and recorded as failed
 // results; they do not kill the run.
@@ -83,25 +83,21 @@ func Run(ctx context.Context, spec Spec, exec Executor, opts Options) (Report, e
 	spec = spec.normalized()
 	jobs := spec.Jobs()
 
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	metrics := opts.Metrics
 	if metrics == nil {
 		metrics = NewMetrics()
 	}
 
 	// Resume: load completed jobs from the journal, if any.
-	var journal *Journal
+	var jnl *journal.Journal[Result]
 	prior := map[int]Result{}
 	if opts.Journal != "" {
 		var err error
-		journal, prior, err = OpenJournal(opts.Journal, spec)
+		jnl, prior, err = OpenJournal(opts.Journal, spec)
 		if err != nil {
 			return Report{}, err
 		}
-		defer journal.Close()
+		defer jnl.Close()
 	}
 	pending := make([]Job, 0, len(jobs))
 	failedReplayed := 0
@@ -122,75 +118,27 @@ func Run(ctx context.Context, spec Spec, exec Executor, opts Options) (Report, e
 		return Report{}, err
 	}
 
-	jobCh := make(chan Job)
-	resCh := make(chan tracedResult)
-
-	// Dispatcher: feeds pending jobs until done or cancelled.
-	go func() {
-		defer close(jobCh)
-		for _, j := range pending {
-			select {
-			case jobCh <- j:
-			case <-ctx.Done():
-				metrics.drainQueue()
-				return
-			}
-		}
-	}()
-
-	// Workers: execute jobs, recovering per-job panics.
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			for job := range jobCh {
-				metrics.jobStarted()
-				var buf *obs.Buffer
-				var tr obs.Tracer
-				if opts.Trace != nil {
-					buf = &obs.Buffer{Job: job.Index}
-					tr = buf
-				}
-				res := runJob(job, exec, id, tr)
-				var events []obs.Event
-				if buf != nil {
-					events = buf.Events
-				}
-				resCh <- tracedResult{res, events}
-			}
-		}(w)
-	}
-	go func() {
-		wg.Wait()
-		close(resCh)
-	}()
-
-	// Collector: journal in completion order, deliver to sinks in
-	// job-index order via a reorder buffer pre-seeded with the
-	// journal-replayed results (deliver consumes the stash, so count
-	// the resumed jobs first).
+	// Deliver to sinks in job-index order via a reorder buffer
+	// pre-seeded with the journal-replayed results (deliver consumes
+	// the stash, so count the resumed jobs first).
 	skipped := len(prior)
 	stash := prior
 	evStash := map[int][]obs.Event{}
 	next := 0
-	var sinkErr error
-	deliver := func() {
-		for sinkErr == nil {
+	deliver := func() error {
+		for {
 			r, ok := stash[next]
 			if !ok {
-				return
+				return nil
 			}
 			delete(stash, next)
 			if err := sinks.Write(r); err != nil {
-				sinkErr = fmt.Errorf("campaign: sink write: %w", err)
-				return
+				return fmt.Errorf("campaign: sink write: %w", err)
 			}
 			if evs, ok := evStash[next]; ok {
 				delete(evStash, next)
 				if err := opts.Trace.WriteEvents(evs); err != nil {
-					sinkErr = fmt.Errorf("campaign: trace write: %w", err)
-					return
+					return fmt.Errorf("campaign: trace write: %w", err)
 				}
 			}
 			next++
@@ -202,12 +150,17 @@ func Run(ctx context.Context, spec Spec, exec Executor, opts Options) (Report, e
 		}
 	}
 	progress(skipped)
-	deliver()
 
 	rep := Report{Spec: spec, Total: len(jobs), Skipped: skipped, FailedReplayed: failedReplayed}
-	var journalErr error
-	for tr := range resCh {
-		res := tr.Result
+	counted := func(job Job, tr obs.Tracer) (Measurement, error) {
+		metrics.jobStarted()
+		defer metrics.jobEnded()
+		return exec(job, tr)
+	}
+	// Journal in completion order, then deliver whatever the result
+	// unblocked. An error here stops dispatch: nothing later could be
+	// recorded or delivered.
+	emit := func(res Result, events []obs.Event) error {
 		metrics.jobFinished(res)
 		meter.finished(res)
 		rep.Executed++
@@ -215,18 +168,24 @@ func Run(ctx context.Context, spec Spec, exec Executor, opts Options) (Report, e
 			rep.Failed++
 		}
 		rep.Encryptions += res.Encryptions
-		if journal != nil {
-			if err := journal.Append(res); err != nil && journalErr == nil {
-				journalErr = err
-			}
+		if err := jnl.Append(res); err != nil {
+			return err
 		}
 		stash[res.Job] = res
-		if len(tr.events) > 0 {
-			evStash[res.Job] = tr.events
+		if len(events) > 0 {
+			evStash[res.Job] = events
 		}
-		deliver()
+		if err := deliver(); err != nil {
+			return err
+		}
 		progress(rep.Skipped + rep.Executed)
+		return nil
 	}
+	err := deliver()
+	if err == nil {
+		err = ExecuteJobs(ctx, pending, counted, opts.Workers, opts.Trace != nil, emit)
+	}
+	metrics.drainQueue()
 
 	rep.Delivered = next
 	rep.Elapsed = time.Since(start) //grinchvet:ignore wallclock operator telemetry, not part of sink bytes
@@ -235,21 +194,45 @@ func Run(ctx context.Context, spec Spec, exec Executor, opts Options) (Report, e
 	switch {
 	case ctx.Err() != nil:
 		return rep, ctx.Err()
-	case sinkErr != nil:
-		return rep, sinkErr
-	case journalErr != nil:
-		return rep, journalErr
+	case err != nil:
+		return rep, err
 	case closeErr != nil:
 		return rep, closeErr
 	}
 	return rep, nil
 }
 
-// tracedResult pairs a completed job with the events its private
-// tracer buffered (nil when tracing is off).
-type tracedResult struct {
-	Result
-	events []obs.Event
+// journalHeader is the first line of a campaign journal. It pins the
+// journal to one campaign: a resume against a journal whose fingerprint
+// does not match the spec is an error, because job indices would then
+// refer to different grid points.
+type journalHeader struct {
+	Campaign    string `json:"campaign"`
+	Fingerprint string `json:"fingerprint"`
+	Jobs        int    `json:"jobs"`
+}
+
+// OpenJournal opens (or creates) the checkpoint journal at path for
+// spec and returns the results it already holds, keyed by job index.
+// Each completed job is one JSON line holding the Result the sinks
+// receive, timing included.
+func OpenJournal(path string, spec Spec) (*journal.Journal[Result], map[int]Result, error) {
+	want := journalHeader{Campaign: spec.Name, Fingerprint: spec.Fingerprint(), Jobs: spec.NumJobs()}
+	j, recs, err := journal.Open[Result](path, want, func(got journalHeader) error {
+		if got.Fingerprint != want.Fingerprint {
+			return fmt.Errorf("campaign: journal %s belongs to campaign %q (fingerprint %s, want %s); refusing to resume a different grid",
+				path, got.Campaign, got.Fingerprint, want.Fingerprint)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	prior := make(map[int]Result, len(recs))
+	for _, r := range recs {
+		prior[r.Job] = r
+	}
+	return j, prior, nil
 }
 
 // runJob executes one job, converting errors and panics into failed

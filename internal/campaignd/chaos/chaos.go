@@ -149,7 +149,10 @@ func (f Fault) Validate() error {
 	default:
 		return fmt.Errorf("chaos: unknown fault kind %q (known: %s)", f.Kind, strings.Join(Kinds(), ", "))
 	}
-	if f.Probability < 0 || f.Probability > 1 {
+	if f.DelayMS < 0 || f.Status < 0 {
+		return fmt.Errorf("chaos: %s has a negative ms or status", f.Kind)
+	}
+	if !(f.Probability >= 0 && f.Probability <= 1) { // NaN included
 		return fmt.Errorf("chaos: %s probability %v outside [0,1]", f.Kind, f.Probability)
 	}
 	if f.Period > 0 && f.Length > f.Period {

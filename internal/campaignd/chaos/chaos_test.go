@@ -88,6 +88,8 @@ func TestParsePlanErrors(t *testing.T) {
 		{"delay:ms=nope", "parameter"},
 		{"5xx:status=404", "outside [500,599]"},
 		{"refuse:p=1.5", "outside [0,1]"},
+		{"refuse:p=NaN", "outside [0,1]"},
+		{"refuse:ms=-5", "negative"},
 		{"refuse:len=10:period=5", "exceeds period"},
 		{"refuse:foo=1", "unknown parameter"},
 		{"refuse:path", "not key=value"},

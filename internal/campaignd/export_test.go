@@ -7,7 +7,7 @@ func JournalWrites(s *Server, id string) int {
 	n := 0
 	for _, sh := range s.campaigns[id].shards {
 		if sh.journal != nil {
-			n += sh.journal.writes
+			n += sh.journal.Writes()
 		}
 	}
 	return n

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"grinch/internal/campaign"
+	"grinch/internal/journal"
 	"grinch/internal/obs/metrics"
 )
 
@@ -121,7 +122,7 @@ type shardState struct {
 	reissues int
 	failed   int
 	results  map[int]campaign.Result
-	journal  *shardJournal
+	journal  *journal.Journal[campaign.Result]
 	// encs sums the victim encryptions of ingested (and
 	// journal-replayed) results; latMS observes each live-ingested
 	// result's wall duration before canonicalization strips it.
@@ -506,7 +507,7 @@ func (s *Server) Ingest(leaseID string, results []campaign.Result) error {
 			s.duplicates++
 			continue
 		}
-		if err := sh.journal.stage(r); err != nil {
+		if err := sh.journal.Stage(r); err != nil {
 			batchErr = err
 			break
 		}
@@ -514,9 +515,9 @@ func (s *Server) Ingest(leaseID string, results []campaign.Result) error {
 		fresh = append(fresh, ingested{job: r.Job, wallNS: wallNS})
 	}
 	s.ingested = fresh
-	if err := sh.journal.commit(); err != nil {
-		// The batch is at most partly on disk: forget all of it, so the
-		// worker's retry ingests it afresh (a reload dedupes by index).
+	if err := sh.journal.Commit(); err != nil {
+		// The journal rolled the failed write back: forget the batch, so
+		// the worker's retry ingests it afresh.
 		for _, f := range fresh {
 			delete(sh.results, f.job)
 		}

@@ -1,7 +1,6 @@
 package campaignd
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -9,6 +8,7 @@ import (
 	"sort"
 
 	"grinch/internal/campaign"
+	"grinch/internal/journal"
 )
 
 // The on-disk layout under the server's data directory:
@@ -17,14 +17,14 @@ import (
 //	<data>/<campaign-id>/shard-<n>.journal — one shard's result journal
 //	<data>/<campaign-id>/<out>, <csv>      — merged output (paths from the submit)
 //
-// A shard journal is the distributed analogue of cmd/campaign's
-// checkpoint journal: a header line pinning (campaign fingerprint,
-// shard range), then one canonical campaign.Result JSON line per
-// ingested job. Because results are pure functions of (spec, index),
-// journal lines never need rewriting — re-ingestion after a lease
-// re-issue is dropped as a duplicate, and a torn trailing line from a
-// server kill is detected and ignored on reload exactly as in
-// internal/campaign.
+// A shard journal (internal/journal) is the distributed analogue of
+// cmd/campaign's checkpoint journal: a header line pinning (campaign
+// fingerprint, shard range), then one canonical campaign.Result JSON
+// line per ingested job. Because results are pure functions of (spec,
+// index), journal lines never need rewriting — re-ingestion after a
+// lease re-issue is dropped as a duplicate. A torn trailing line from
+// a server kill is cut off on reload (that job re-runs); a corrupt
+// line anywhere else fails the load.
 //
 // Restart recovery: LoadState replays campaign.json + the shard
 // journals of every campaign directory, so a coordinator restart
@@ -41,162 +41,34 @@ type shardJournalHeader struct {
 	End         int    `json:"end"`
 }
 
-// shardJournal appends canonical results for one shard to disk. A nil
-// *shardJournal (memory-only server) is valid and appends nowhere.
-// Records are staged in buf and committed with one write, so an
-// ingested batch costs one write however many results it carries.
-type shardJournal struct {
-	f    *os.File
-	path string
-	buf  bytes.Buffer
-	enc  *json.Encoder
-	// rec holds the result being staged, so encoding it through a
-	// pointer does not copy it to the heap.
-	rec campaign.Result
-	// writes counts committed writes (benchmarks read it).
-	writes int
-}
-
-func newShardJournal(f *os.File, path string) *shardJournal {
-	j := &shardJournal{f: f, path: path}
-	j.enc = json.NewEncoder(&j.buf)
-	return j
-}
-
 func shardJournalPath(dir string, shard int) string {
 	return filepath.Join(dir, fmt.Sprintf("shard-%d.journal", shard))
 }
 
 // openShardJournal opens (creating if absent) the journal for one
-// shard and returns the results it already holds, keyed by job index.
-func openShardJournal(dir, campaignID, fingerprint string, rng ShardRange) (*shardJournal, map[int]campaign.Result, error) {
+// shard and returns the results it already holds inside the shard's
+// range, canonicalised and keyed by job index.
+func openShardJournal(dir, campaignID, fingerprint string, rng ShardRange) (*journal.Journal[campaign.Result], map[int]campaign.Result, error) {
 	path := shardJournalPath(dir, rng.Shard)
+	want := shardJournalHeader{Campaign: campaignID, Fingerprint: fingerprint,
+		Shard: rng.Shard, Start: rng.Start, End: rng.End}
+	j, recs, err := journal.Open[campaign.Result](path, want, func(got shardJournalHeader) error {
+		if got.Fingerprint != fingerprint || got.Shard != rng.Shard || got.Start != rng.Start || got.End != rng.End {
+			return fmt.Errorf("campaignd: shard journal %s belongs to a different campaign or shard (fingerprint %s shard %d [%d,%d), want %s shard %d [%d,%d))",
+				path, got.Fingerprint, got.Shard, got.Start, got.End, fingerprint, rng.Shard, rng.Start, rng.End)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
 	prior := make(map[int]campaign.Result, rng.Len())
-	data, err := os.ReadFile(path)
-	switch {
-	case os.IsNotExist(err):
-		f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_EXCL, 0o644)
-		if err != nil {
-			return nil, nil, fmt.Errorf("campaignd: creating shard journal: %w", err)
-		}
-		j := newShardJournal(f, path)
-		hdr := shardJournalHeader{Campaign: campaignID, Fingerprint: fingerprint,
-			Shard: rng.Shard, Start: rng.Start, End: rng.End}
-		if err := j.Append(hdr); err != nil {
-			f.Close()
-			return nil, nil, err
-		}
-		return j, prior, nil
-	case err != nil:
-		return nil, nil, fmt.Errorf("campaignd: reading shard journal: %w", err)
-	}
-
-	lines := splitLines(data)
-	if len(lines) == 0 {
-		return nil, nil, fmt.Errorf("campaignd: shard journal %s is empty (no header)", path)
-	}
-	var hdr shardJournalHeader
-	if err := json.Unmarshal(lines[0], &hdr); err != nil {
-		return nil, nil, fmt.Errorf("campaignd: shard journal %s has a corrupt header: %w", path, err)
-	}
-	if hdr.Fingerprint != fingerprint || hdr.Shard != rng.Shard || hdr.Start != rng.Start || hdr.End != rng.End {
-		return nil, nil, fmt.Errorf("campaignd: shard journal %s belongs to a different campaign or shard (fingerprint %s shard %d [%d,%d), want %s shard %d [%d,%d))",
-			path, hdr.Fingerprint, hdr.Shard, hdr.Start, hdr.End, fingerprint, rng.Shard, rng.Start, rng.End)
-	}
-	for _, line := range lines[1:] {
-		var r campaign.Result
-		if err := json.Unmarshal(line, &r); err != nil {
-			// Torn trailing line from a hard kill: that job re-runs.
-			continue
-		}
+	for _, r := range recs {
 		if rng.Contains(r.Job) {
 			prior[r.Job] = r.Canonical()
 		}
 	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, nil, fmt.Errorf("campaignd: reopening shard journal: %w", err)
-	}
-	// A hard kill can leave a final line without its newline. Cut it
-	// off before appending, or the next record is glued onto the
-	// fragment and the following reload drops that job. A header that
-	// parsed but lost its newline is terminated instead.
-	if keep := bytes.LastIndexByte(data, '\n') + 1; keep < len(data) {
-		if keep == 0 {
-			_, err = f.Write([]byte{'\n'})
-		} else {
-			err = f.Truncate(int64(keep))
-		}
-		if err != nil {
-			f.Close()
-			return nil, nil, fmt.Errorf("campaignd: repairing torn tail of shard journal %s: %w", path, err)
-		}
-	}
-	return newShardJournal(f, path), prior, nil
-}
-
-// Append writes one record (the header or a canonical result) as its
-// own line: the bytes of json.Marshal plus a newline. Nil receivers
-// (memory-only mode) accept and drop.
-func (j *shardJournal) Append(v any) error {
-	if j == nil {
-		return nil
-	}
-	if err := j.enc.Encode(v); err != nil {
-		return err
-	}
-	return j.commit()
-}
-
-// stage encodes one canonical result into the pending buffer, exactly
-// as Append would write it. Nil-safe.
-func (j *shardJournal) stage(r campaign.Result) error {
-	if j == nil {
-		return nil
-	}
-	j.rec = r
-	return j.enc.Encode(&j.rec)
-}
-
-// commit writes every staged record in one write and empties the
-// buffer. Nil-safe.
-func (j *shardJournal) commit() error {
-	if j == nil || j.buf.Len() == 0 {
-		return nil
-	}
-	_, err := j.f.Write(j.buf.Bytes())
-	j.buf.Reset()
-	j.writes++
-	if err != nil {
-		return fmt.Errorf("campaignd: appending to shard journal: %w", err)
-	}
-	return nil
-}
-
-// Close closes the journal file. Nil-safe.
-func (j *shardJournal) Close() error {
-	if j == nil {
-		return nil
-	}
-	return j.f.Close()
-}
-
-// splitLines splits on '\n', keeping a torn (newline-less) final line
-// so it can fail to unmarshal — the same convention as
-// internal/campaign's journal reader.
-func splitLines(data []byte) [][]byte {
-	var lines [][]byte
-	start := 0
-	for i, b := range data {
-		if b == '\n' {
-			lines = append(lines, data[start:i])
-			start = i + 1
-		}
-	}
-	if start < len(data) {
-		lines = append(lines, data[start:])
-	}
-	return lines
+	return j, prior, nil
 }
 
 // saveSubmit persists the campaign's submit request so a restarted

@@ -25,6 +25,7 @@ import (
 
 	"grinch/internal/campaign"
 	"grinch/internal/campaignd"
+	"grinch/internal/obs"
 )
 
 // Config configures a worker process.
@@ -356,7 +357,7 @@ func runShard(ctx context.Context, cfg Config, client *campaignd.Client, m *mete
 		}
 		return nil
 	}
-	execErr := campaign.ExecuteJobs(shardCtx, jobs, cfg.Exec, cfg.Workers, func(r campaign.Result) error {
+	execErr := campaign.ExecuteJobs(shardCtx, jobs, cfg.Exec, cfg.Workers, false, func(r campaign.Result, _ []obs.Event) error {
 		m.result(r)
 		batch = append(batch, r)
 		if len(batch) >= cfg.Batch {
