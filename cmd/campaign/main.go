@@ -60,7 +60,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -129,24 +128,17 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
+	// One set of counts feeds the ticker, the summary, expvar and
+	// /metrics.
 	metrics := campaign.NewMetrics()
-	var reg *obsmetrics.Registry
 	if *debugAddr != "" {
-		// The registry rides the debug endpoint: without -debug-addr it
-		// stays nil and the run loop takes the zero-cost path.
-		reg = obsmetrics.New()
-		serveDebug(*debugAddr, metrics, reg)
+		serveDebug(*debugAddr, metrics)
 	}
-	var done64 atomic.Int64
 	opts := campaign.Options{
-		Workers:  *workers,
-		Sinks:    sinks,
-		Journal:  *journal,
-		Metrics:  metrics,
-		Registry: reg,
-		Progress: func(done, total int) {
-			done64.Store(int64(done))
-		},
+		Workers: *workers,
+		Sinks:   sinks,
+		Journal: *journal,
+		Metrics: metrics,
 	}
 	if trace != nil {
 		opts.Trace = trace
@@ -154,7 +146,7 @@ func main() {
 
 	var stopTicker func()
 	if !*quiet && *progress > 0 {
-		stopTicker = startTicker(spec, metrics, &done64, *workers, *progress)
+		stopTicker = startTicker(spec, metrics, *workers, *progress)
 	}
 	rep, err := campaign.Run(ctx, spec, experiments.Execute, opts)
 	if stopTicker != nil {
@@ -218,14 +210,14 @@ func (f *failures) report() {
 // serveDebug publishes the campaign metrics as the expvar "campaign"
 // variable (schema documented in DESIGN.md §14) and serves the default
 // mux — /debug/vars (expvar), /metrics (Prometheus text exposition of
-// the campaign_* registry) and /debug/pprof (net/http/pprof) — on
+// the same campaign_* registry) and /debug/pprof (net/http/pprof) — on
 // addr. Debugging telemetry only: it never feeds back into results or
 // traces.
-func serveDebug(addr string, m *campaign.Metrics, reg *obsmetrics.Registry) {
+func serveDebug(addr string, m *campaign.Metrics) {
 	expvar.Publish("campaign", m)
 	http.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", obsmetrics.ContentType)
-		if err := obsmetrics.WriteProm(w, reg.Snapshot()); err != nil {
+		if err := obsmetrics.WriteProm(w, m.Registry().Snapshot()); err != nil {
 			fmt.Fprintf(os.Stderr, "campaign: writing /metrics: %v\n", err)
 		}
 	})
@@ -303,9 +295,10 @@ func buildSinks(outPath, csvPath string, timing bool) ([]campaign.Sink, []func()
 }
 
 // startTicker reports progress + ETA on stderr every interval until
-// stopped. The ETA derives from the metrics' per-job mean duration and
-// the worker count, so it stabilizes as soon as a few jobs finish.
-func startTicker(spec campaign.Spec, m *campaign.Metrics, done *atomic.Int64, workers int, interval time.Duration) func() {
+// stopped. Progress counts executed and journal-resumed jobs; the ETA
+// derives from the metrics' per-job mean duration and the worker
+// count, so it stabilizes as soon as a few jobs finish.
+func startTicker(spec campaign.Spec, m *campaign.Metrics, workers int, interval time.Duration) func() {
 	total := spec.NumJobs()
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -321,7 +314,7 @@ func startTicker(spec campaign.Spec, m *campaign.Metrics, done *atomic.Int64, wo
 				return
 			case <-tick.C:
 				snap := m.Snapshot()
-				d := int(done.Load())
+				d := int(snap.JobsDone + snap.JobsSkipped)
 				line := fmt.Sprintf("\rcampaign %s: %d/%d jobs", spec.Name, d, total)
 				if snap.JobsDone > 0 && snap.JobMSMean > 0 {
 					remaining := total - d

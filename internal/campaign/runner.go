@@ -7,7 +7,6 @@ import (
 
 	"grinch/internal/journal"
 	"grinch/internal/obs"
-	"grinch/internal/obs/metrics"
 )
 
 // Options configure one campaign run.
@@ -21,13 +20,9 @@ type Options struct {
 	// If the file already exists for the same spec, its completed jobs
 	// are replayed into the sinks and skipped.
 	Journal string
-	// Metrics receives live counters; nil allocates a private set.
+	// Metrics, if set, receives the run's counts (see Metrics); nil
+	// counts nothing.
 	Metrics *Metrics
-	// Registry, if set, receives fleet-vocabulary series (campaign_*:
-	// per-status job counters, encryption histograms, wall-time
-	// quarantined separately) alongside the expvar-oriented Metrics.
-	// Nil disables at one nil-check per job.
-	Registry *metrics.Registry
 	// Progress, if set, is called after every completed or replayed
 	// job with (jobs accounted for, grid size). Calls are serialized.
 	Progress func(done, total int)
@@ -83,11 +78,6 @@ func Run(ctx context.Context, spec Spec, exec Executor, opts Options) (Report, e
 	spec = spec.normalized()
 	jobs := spec.Jobs()
 
-	metrics := opts.Metrics
-	if metrics == nil {
-		metrics = NewMetrics()
-	}
-
 	// Resume: load completed jobs from the journal, if any.
 	var jnl *journal.Journal[Result]
 	prior := map[int]Result{}
@@ -109,9 +99,7 @@ func Run(ctx context.Context, spec Spec, exec Executor, opts Options) (Report, e
 			failedReplayed++
 		}
 	}
-	metrics.begin(len(jobs), len(prior), failedReplayed)
-	meter := newRunMeter(opts.Registry)
-	meter.begin(len(prior), failedReplayed)
+	opts.Metrics.begin(len(jobs), len(prior), failedReplayed)
 
 	sinks := multiSink(opts.Sinks)
 	if err := sinks.Begin(spec, len(jobs)); err != nil {
@@ -152,17 +140,11 @@ func Run(ctx context.Context, spec Spec, exec Executor, opts Options) (Report, e
 	progress(skipped)
 
 	rep := Report{Spec: spec, Total: len(jobs), Skipped: skipped, FailedReplayed: failedReplayed}
-	counted := func(job Job, tr obs.Tracer) (Measurement, error) {
-		metrics.jobStarted()
-		defer metrics.jobEnded()
-		return exec(job, tr)
-	}
 	// Journal in completion order, then deliver whatever the result
 	// unblocked. An error here stops dispatch: nothing later could be
 	// recorded or delivered.
 	emit := func(res Result, events []obs.Event) error {
-		metrics.jobFinished(res)
-		meter.finished(res)
+		opts.Metrics.finished(res)
 		rep.Executed++
 		if res.Failed {
 			rep.Failed++
@@ -183,9 +165,9 @@ func Run(ctx context.Context, spec Spec, exec Executor, opts Options) (Report, e
 	}
 	err := deliver()
 	if err == nil {
-		err = ExecuteJobs(ctx, pending, counted, opts.Workers, opts.Trace != nil, emit)
+		err = ExecuteJobs(ctx, pending, opts.Metrics.counted(exec), opts.Workers, opts.Trace != nil, emit)
 	}
-	metrics.drainQueue()
+	opts.Metrics.end()
 
 	rep.Delivered = next
 	rep.Elapsed = time.Since(start) //grinchvet:ignore wallclock operator telemetry, not part of sink bytes

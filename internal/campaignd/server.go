@@ -235,12 +235,7 @@ func (s *Server) recover() error {
 		if n := campaignSeq(name); n >= s.nextID {
 			s.nextID = n + 1
 		}
-		done := 0
-		for _, sh := range c.shards {
-			if sh.state == ShardDone {
-				done++
-			}
-		}
+		done := c.tally().complete
 		s.logf("recovered campaign %s (%s): %d jobs, %d/%d shards done", name, req.Spec.Name, c.jobs, done, len(c.shards))
 		if done == len(c.shards) && !c.merged {
 			if err := s.mergeLocked(c); err != nil {
@@ -595,13 +590,7 @@ func (s *Server) Complete(leaseID string) error {
 	s.logf("shard done: %s %s by worker %s", c.id, sh.rng, l.worker)
 
 	var mergeErr error
-	allDone := true
-	for _, other := range c.shards {
-		if other.state != ShardDone {
-			allDone = false
-			break
-		}
-	}
+	allDone := c.tally().complete == len(c.shards)
 	if allDone {
 		mergeErr = s.mergeLocked(c)
 	}
@@ -695,6 +684,36 @@ func (d *deterministicBuffer) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
+// tally is one campaign's counts, folded from its shard tables.
+type tally struct {
+	done, failed int    // ingested results, and those whose job failed
+	encs         uint64 // victim encryptions over the ingested results
+	// Shards by state.
+	pending, leased, complete int
+}
+
+// tally folds c's shard tables in one walk. Every count the
+// coordinator reports about a campaign — MetricsSnapshot, the
+// campaignd_* series, CampaignStatus — derives from it. Caller holds
+// s.mu.
+func (c *campaignState) tally() tally {
+	var t tally
+	for _, sh := range c.shards {
+		t.done += len(sh.results)
+		t.failed += sh.failed
+		t.encs += sh.encs
+		switch sh.state {
+		case ShardPending:
+			t.pending++
+		case ShardLeased:
+			t.leased++
+		case ShardDone:
+			t.complete++
+		}
+	}
+	return t
+}
+
 // Statuses returns every campaign's status in submission order,
 // without per-shard detail.
 func (s *Server) Statuses() []CampaignStatus {
@@ -703,7 +722,8 @@ func (s *Server) Statuses() []CampaignStatus {
 	s.sweepLocked()
 	out := make([]CampaignStatus, 0, len(s.order))
 	for _, id := range s.order {
-		out = append(out, s.statusLocked(s.campaigns[id], false))
+		c := s.campaigns[id]
+		out = append(out, c.status(c.tally(), nil))
 	}
 	return out
 }
@@ -717,45 +737,46 @@ func (s *Server) Status(id string) (CampaignStatus, bool) {
 	if !ok {
 		return CampaignStatus{}, false
 	}
-	return s.statusLocked(c, true), true
+	return c.status(c.tally(), s.reg.Snapshot()), true
 }
 
-func (s *Server) statusLocked(c *campaignState, shards bool) CampaignStatus {
+// status renders c's progress from its tally. With a registry
+// snapshot it adds one row per shard, latency quantiles read from
+// that snapshot; without one (nil) the rows are omitted. Caller holds
+// s.mu.
+func (c *campaignState) status(t tally, reg []metrics.Series) CampaignStatus {
 	st := CampaignStatus{
 		ID:          c.id,
 		Name:        c.req.Spec.Name,
 		Fingerprint: c.fp,
 		State:       CampaignRunning,
 		Jobs:        c.jobs,
+		Done:        t.done,
+		Failed:      t.failed,
 	}
 	if c.merged {
 		st.State = CampaignMerged
 	}
-	var snap []metrics.Series
-	if shards {
-		snap = s.reg.Snapshot()
+	if reg == nil {
+		return st
 	}
 	for _, sh := range c.shards {
-		st.Done += len(sh.results)
-		st.Failed += sh.failed
-		if shards {
-			row := ShardStatus{
-				ShardRange:  sh.rng,
-				State:       sh.state,
-				Worker:      sh.worker,
-				Done:        len(sh.results),
-				Reissues:    sh.reissues,
-				Encryptions: sh.encs,
-			}
-			ser, ok := metrics.Find(snap, "campaignd_shard_job_ms",
-				metrics.L("campaign", c.id), metrics.L("shard", fmt.Sprint(sh.rng.Shard)))
-			if ok && ser.Count() > 0 {
-				row.P50MS = ser.Quantile(0.50)
-				row.P90MS = ser.Quantile(0.90)
-				row.P99MS = ser.Quantile(0.99)
-			}
-			st.Shards = append(st.Shards, row)
+		row := ShardStatus{
+			ShardRange:  sh.rng,
+			State:       sh.state,
+			Worker:      sh.worker,
+			Done:        len(sh.results),
+			Reissues:    sh.reissues,
+			Encryptions: sh.encs,
 		}
+		ser, ok := metrics.Find(reg, "campaignd_shard_job_ms",
+			metrics.L("campaign", c.id), metrics.L("shard", fmt.Sprint(sh.rng.Shard)))
+		if ok && ser.Count() > 0 {
+			row.P50MS = ser.Quantile(0.50)
+			row.P90MS = ser.Quantile(0.90)
+			row.P99MS = ser.Quantile(0.99)
+		}
+		st.Shards = append(st.Shards, row)
 	}
 	return st
 }

@@ -5,6 +5,8 @@ import (
 	"html/template"
 	"net/http"
 	"sort"
+
+	"grinch/internal/obs/metrics"
 )
 
 // MetricsSnapshot is the coordinator's operator-telemetry counter set,
@@ -42,7 +44,17 @@ func (s *Server) Metrics() MetricsSnapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.sweepLocked()
-	snap := MetricsSnapshot{
+	m, _ := s.metricsLocked(s.reg.Snapshot())
+	return m
+}
+
+// metricsLocked tallies every campaign once, in submission order, and
+// sums the counter snapshot from those tallies; callers that also
+// render per-campaign views reuse the returned tallies. reg is the
+// request's one registry snapshot, the source of the shard-size hint.
+// Caller holds s.mu and has swept.
+func (s *Server) metricsLocked(reg []metrics.Series) (MetricsSnapshot, []tally) {
+	m := MetricsSnapshot{
 		Campaigns:    len(s.order),
 		LeasesIssued: s.leasesIssued,
 		LeasesActive: len(s.leases),
@@ -51,54 +63,39 @@ func (s *Server) Metrics() MetricsSnapshot {
 		Shed:         int(s.shed.Load()),
 		Workers:      len(s.workers),
 	}
-	for _, id := range s.order {
+	tallies := make([]tally, len(s.order))
+	for i, id := range s.order {
 		c := s.campaigns[id]
+		t := c.tally()
+		tallies[i] = t
 		if c.merged {
-			snap.CampaignsMerged++
+			m.CampaignsMerged++
 		}
-		snap.JobsTotal += c.jobs
-		snap.Shards += len(c.shards)
-		for _, sh := range c.shards {
-			snap.JobsDone += len(sh.results)
-			snap.JobsFailed += sh.failed
-			snap.Encryptions += sh.encs
-			switch sh.state {
-			case ShardDone:
-				snap.ShardsDone++
-			case ShardLeased:
-				snap.ShardsLeased++
-			}
-		}
+		m.JobsTotal += c.jobs
+		m.Shards += len(c.shards)
+		m.ShardsDone += t.complete
+		m.ShardsLeased += t.leased
+		m.JobsDone += t.done
+		m.JobsFailed += t.failed
+		m.Encryptions += t.encs
 	}
 	up := s.now().Sub(s.started).Seconds()
-	snap.UptimeSeconds = up
+	m.UptimeSeconds = up
 	if up > 0 {
-		snap.JobsPerSecond = float64(s.resultsIngested) / up
+		m.JobsPerSecond = float64(s.resultsIngested) / up
 	}
-	if snap.JobsPerSecond > 0 && snap.JobsTotal > snap.JobsDone {
-		snap.ETASeconds = float64(snap.JobsTotal-snap.JobsDone) / snap.JobsPerSecond
+	if m.JobsPerSecond > 0 && m.JobsTotal > m.JobsDone {
+		m.ETASeconds = float64(m.JobsTotal-m.JobsDone) / m.JobsPerSecond
 	}
-	snap.SuggestedShardSize = s.suggestedShardSizeLocked()
-	return snap
+	m.SuggestedShardSize = s.suggestedShardSize(reg)
+	return m, tallies
 }
 
-// statusModel is the template input for the status page.
+// statusModel is the template input for the status page: the fleet
+// status plus each failed merge's error, keyed by campaign ID.
 type statusModel struct {
-	Metrics   MetricsSnapshot
-	Campaigns []statusCampaign
-	Workers   []statusWorker
-}
-
-type statusCampaign struct {
-	CampaignStatus
-	MergeErr string
-}
-
-type statusWorker struct {
-	ID      string
-	AgoSecs float64
-	Leases  int
-	Results int
+	FleetStatus
+	MergeErrs map[string]string
 }
 
 var statusTmpl = template.Must(template.New("status").Parse(`<!DOCTYPE html>
@@ -111,15 +108,15 @@ th { background: #eee; }
 .done { color: #060; } .leased { color: #06c; } .pending { color: #666; }
 </style></head><body>
 <h2>campaignd — distributed campaign coordinator</h2>
-<p>{{.Metrics.Campaigns}} campaigns ({{.Metrics.CampaignsMerged}} merged) ·
-{{.Metrics.JobsDone}}/{{.Metrics.JobsTotal}} jobs ({{.Metrics.JobsFailed}} failed) ·
-{{printf "%.1f" .Metrics.JobsPerSecond}} jobs/sec ·
-{{.Metrics.LeasesActive}} active leases ({{.Metrics.LeasesIssued}} issued, {{.Metrics.Reissues}} re-issued, {{.Metrics.Duplicates}} duplicate results, {{.Metrics.Shed}} shed) ·
-{{.Metrics.Workers}} workers seen ·
-up {{printf "%.0f" .Metrics.UptimeSeconds}}s ·
-<a href="/debug/vars">expvar</a> · <a href="/debug/pprof/">pprof</a></p>
+{{with .MetricsSnapshot}}<p>{{.Campaigns}} campaigns ({{.CampaignsMerged}} merged) ·
+{{.JobsDone}}/{{.JobsTotal}} jobs ({{.JobsFailed}} failed) ·
+{{printf "%.1f" .JobsPerSecond}} jobs/sec ·
+{{.LeasesActive}} active leases ({{.LeasesIssued}} issued, {{.Reissues}} re-issued, {{.Duplicates}} duplicate results, {{.Shed}} shed) ·
+{{.Workers}} workers seen ·
+up {{printf "%.0f" .UptimeSeconds}}s ·
+<a href="/debug/vars">expvar</a> · <a href="/debug/pprof/">pprof</a></p>{{end}}
 {{range .Campaigns}}
-<h3>{{.ID}} — {{.Name}} [{{.State}}] {{.Done}}/{{.Jobs}} jobs{{if .Failed}}, {{.Failed}} failed{{end}}{{if .MergeErr}} — merge error: {{.MergeErr}}{{end}}</h3>
+<h3>{{.ID}} — {{.Name}} [{{.State}}] {{.Done}}/{{.Jobs}} jobs{{if .Failed}}, {{.Failed}} failed{{end}}{{with index $.MergeErrs .ID}} — merge error: {{.}}{{end}}</h3>
 <table><tr><th>shard</th><th>jobs</th><th>state</th><th>worker</th><th>done</th><th>re-issues</th></tr>
 {{range .Shards}}<tr><td>{{.Shard}}</td><td>[{{.Start}},{{.End}})</td><td class="{{.State}}">{{.State}}</td><td>{{.Worker}}</td><td>{{.Done}}/{{.Len}}</td><td>{{.Reissues}}</td></tr>
 {{end}}</table>
@@ -127,44 +124,25 @@ up {{printf "%.0f" .Metrics.UptimeSeconds}}s ·
 {{end}}
 {{if .Workers}}<h3>workers</h3>
 <table><tr><th>worker</th><th>last seen</th><th>leases</th><th>results</th></tr>
-{{range .Workers}}<tr><td>{{.ID}}</td><td>{{printf "%.1f" .AgoSecs}}s ago</td><td>{{.Leases}}</td><td>{{.Results}}</td></tr>
+{{range .Workers}}<tr><td>{{.ID}}</td><td>{{printf "%.1f" .LastSeenAgoSeconds}}s ago</td><td>{{.Leases}}</td><td>{{.Results}}</td></tr>
 {{end}}</table>{{end}}
 </body></html>
 `))
 
 // handleStatusPage renders the human-facing shard board.
 func (s *Server) handleStatusPage(w http.ResponseWriter, r *http.Request) {
-	model := s.statusModel()
+	s.mu.Lock()
+	model := statusModel{FleetStatus: s.fleetLocked(), MergeErrs: map[string]string{}}
+	for _, id := range s.order {
+		if e := s.campaigns[id].mergeErr; e != "" {
+			model.MergeErrs[id] = e
+		}
+	}
+	s.mu.Unlock()
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
 	if err := statusTmpl.Execute(w, model); err != nil {
 		s.logf("status page: %v", err)
 	}
-}
-
-func (s *Server) statusModel() statusModel {
-	metrics := s.Metrics()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	model := statusModel{Metrics: metrics}
-	for _, id := range s.order {
-		c := s.campaigns[id]
-		model.Campaigns = append(model.Campaigns, statusCampaign{
-			CampaignStatus: s.statusLocked(c, true),
-			MergeErr:       c.mergeErr,
-		})
-	}
-	ids := sortedWorkerIDs(s.workers)
-	now := s.now()
-	for _, id := range ids {
-		wi := s.workers[id]
-		model.Workers = append(model.Workers, statusWorker{
-			ID:      id,
-			AgoSecs: now.Sub(wi.lastSeen).Seconds(),
-			Leases:  wi.leases,
-			Results: wi.results,
-		})
-	}
-	return model
 }
 
 // sortedWorkerIDs lists the worker directory's keys in sorted order.

@@ -21,21 +21,23 @@ import (
 // histograms, and the latest per-worker telemetry labeled worker="id".
 // The result is sorted by identity, ready for metrics.WriteProm.
 func (s *Server) PromSnapshot() []metrics.Series {
+	reg := s.reg.Snapshot()
 	s.mu.Lock()
 	s.sweepLocked()
-	synth := s.synthSeriesLocked()
+	synth := s.synthSeriesLocked(s.metricsLocked(reg))
 	s.mu.Unlock()
 
-	groups := [][]metrics.Series{synth, s.reg.Snapshot()}
+	groups := [][]metrics.Series{synth, reg}
 	for _, src := range s.telemetry.Sources() {
 		groups = append(groups, metrics.WithLabel(s.telemetry.Source(src), "worker", src))
 	}
 	return metrics.Sum(groups...)
 }
 
-// synthSeriesLocked derives the coordinator's own series from its
-// authoritative state under mu.
-func (s *Server) synthSeriesLocked() []metrics.Series {
+// synthSeriesLocked renders the coordinator's own series from the
+// counter snapshot and the per-campaign tallies metricsLocked folded,
+// under mu.
+func (s *Server) synthSeriesLocked(m MetricsSnapshot, tallies []tally) []metrics.Series {
 	counter := func(name, help string, v uint64, labels ...metrics.Label) metrics.Series {
 		return metrics.Series{Name: name, Kind: metrics.KindCounter, Value: v, Help: help, Labels: labels}
 	}
@@ -43,66 +45,48 @@ func (s *Server) synthSeriesLocked() []metrics.Series {
 		return metrics.Series{Name: name, Kind: metrics.KindGauge, Gauge: v, Help: help, Labels: labels}
 	}
 	var out []metrics.Series
-	running, merged := 0, 0
-	for _, id := range s.order {
-		c := s.campaigns[id]
-		if c.merged {
-			merged++
-		} else {
-			running++
-		}
-		var done, failed, encs uint64
-		shardsBy := map[string]int64{ShardPending: 0, ShardLeased: 0, ShardDone: 0}
-		for _, sh := range c.shards {
-			done += uint64(len(sh.results))
-			failed += uint64(sh.failed)
-			encs += sh.encs
-			shardsBy[sh.state]++
-		}
-		cl := metrics.L("campaign", id)
+	for i, id := range s.order {
+		t, cl := tallies[i], metrics.L("campaign", id)
 		out = append(out,
-			gauge("campaignd_jobs", "Campaign grid size.", int64(c.jobs), cl),
-			counter("campaignd_jobs_done_total", "Results ingested into the authoritative shard store (deduplicated; reconciles with merged output rows).", done, cl),
-			counter("campaignd_jobs_failed_total", "Ingested results whose job failed.", failed, cl),
-			counter("campaignd_encryptions_total", "Victim encryptions summed over ingested results.", encs, cl),
+			gauge("campaignd_jobs", "Campaign grid size.", int64(s.campaigns[id].jobs), cl),
+			counter("campaignd_jobs_done_total", "Results ingested into the authoritative shard store (deduplicated; reconciles with merged output rows).", uint64(t.done), cl),
+			counter("campaignd_jobs_failed_total", "Ingested results whose job failed.", uint64(t.failed), cl),
+			counter("campaignd_encryptions_total", "Victim encryptions summed over ingested results.", t.encs, cl),
 		)
-		for _, state := range []string{ShardPending, ShardLeased, ShardDone} {
-			out = append(out, gauge("campaignd_shards", "Shards by state.", shardsBy[state], cl, metrics.L("state", state)))
+		for _, st := range []struct {
+			state string
+			n     int
+		}{{ShardPending, t.pending}, {ShardLeased, t.leased}, {ShardDone, t.complete}} {
+			out = append(out, gauge("campaignd_shards", "Shards by state.", int64(st.n), cl, metrics.L("state", st.state)))
 		}
 	}
 	out = append(out,
-		gauge("campaignd_campaigns", "Campaigns by state.", int64(running), metrics.L("state", CampaignRunning)),
-		gauge("campaignd_campaigns", "Campaigns by state.", int64(merged), metrics.L("state", CampaignMerged)),
-		counter("campaignd_leases_issued_total", "Shard leases granted.", uint64(s.leasesIssued)),
-		counter("campaignd_lease_reissues_total", "Expired leases whose shard returned to pending.", uint64(s.reissues)),
-		counter("campaignd_duplicate_results_total", "Duplicate results discarded at ingestion.", uint64(s.duplicates)),
+		gauge("campaignd_campaigns", "Campaigns by state.", int64(m.Campaigns-m.CampaignsMerged), metrics.L("state", CampaignRunning)),
+		gauge("campaignd_campaigns", "Campaigns by state.", int64(m.CampaignsMerged), metrics.L("state", CampaignMerged)),
+		counter("campaignd_leases_issued_total", "Shard leases granted.", uint64(m.LeasesIssued)),
+		counter("campaignd_lease_reissues_total", "Expired leases whose shard returned to pending.", uint64(m.Reissues)),
+		counter("campaignd_duplicate_results_total", "Duplicate results discarded at ingestion.", uint64(m.Duplicates)),
 		counter("campaignd_results_ingested_total", "Results accepted at ingestion (first copies only).", uint64(s.resultsIngested)),
-		counter("campaignd_shed_total", "Ingest requests refused with 429 by overload admission control.", s.shed.Load()),
+		counter("campaignd_shed_total", "Ingest requests refused with 429 by overload admission control.", uint64(m.Shed)),
 		gauge("campaignd_ingest_inflight", "Result-ingest requests currently in flight.", s.ingestInflight.Load()),
-		gauge("campaignd_leases_active", "Live leases.", int64(len(s.leases))),
-		gauge("campaignd_workers_seen", "Distinct workers ever seen.", int64(len(s.workers))),
+		gauge("campaignd_leases_active", "Live leases.", int64(m.LeasesActive)),
+		gauge("campaignd_workers_seen", "Distinct workers ever seen.", int64(m.Workers)),
 	)
 	return out
 }
 
-// suggestedShardSizeLocked derives a shard-size hint from observed job
-// latency: a shard should take roughly four lease TTLs of wall time —
-// long enough to amortize lease round-trips, short enough that a lost
-// node costs little. Returns 0 until ingestion-latency data exists.
-func (s *Server) suggestedShardSizeLocked() int {
-	var all []metrics.Series
-	for _, ser := range s.reg.Snapshot() {
-		if ser.Name == "campaignd_shard_job_ms" {
-			all = append(all, ser)
-		}
-	}
-	if len(all) == 0 {
-		return 0
-	}
+// suggestedShardSize derives a shard-size hint from the job latency
+// observed in reg: a shard should take roughly four lease TTLs of wall
+// time — long enough to amortize lease round-trips, short enough that
+// a lost node costs little. Returns 0 until ingestion-latency data
+// exists.
+func (s *Server) suggestedShardSize(reg []metrics.Series) int {
 	var count, sum uint64
-	for _, ser := range all {
-		count += ser.Count()
-		sum += ser.Sum
+	for _, ser := range reg {
+		if ser.Name == "campaignd_shard_job_ms" {
+			count += ser.Count()
+			sum += ser.Sum
+		}
 	}
 	if count == 0 {
 		return 0
@@ -148,9 +132,9 @@ type RetryHealth struct {
 }
 
 // retryHealth folds the fleet-wide retry telemetry from the worker
-// delta store plus the coordinator's shed counter.
-func (s *Server) retryHealth() RetryHealth {
-	h := RetryHealth{ShedTotal: s.shed.Load()}
+// delta store plus the coordinator's shed count.
+func (s *Server) retryHealth(shed int) RetryHealth {
+	h := RetryHealth{ShedTotal: uint64(shed)}
 	for _, ser := range s.telemetry.Merged() {
 		switch ser.Name {
 		case "campaignw_report_retries_total":
@@ -176,11 +160,21 @@ type WorkerStatus struct {
 
 // FleetStatus returns the current fleet status.
 func (s *Server) FleetStatus() FleetStatus {
-	fs := FleetStatus{MetricsSnapshot: s.Metrics(), Retry: s.retryHealth()}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, id := range s.order {
-		fs.Campaigns = append(fs.Campaigns, s.statusLocked(s.campaigns[id], true))
+	return s.fleetLocked()
+}
+
+// fleetLocked builds the fleet status from one sweep, one registry
+// snapshot and one tally per campaign, so the totals and the rows
+// agree. Caller holds s.mu.
+func (s *Server) fleetLocked() FleetStatus {
+	s.sweepLocked()
+	reg := s.reg.Snapshot()
+	m, tallies := s.metricsLocked(reg)
+	fs := FleetStatus{MetricsSnapshot: m, Retry: s.retryHealth(m.Shed)}
+	for i, id := range s.order {
+		fs.Campaigns = append(fs.Campaigns, s.campaigns[id].status(tallies[i], reg))
 	}
 	now := s.now()
 	for _, id := range sortedWorkerIDs(s.workers) {

@@ -30,18 +30,18 @@ type campaignArtifacts struct {
 // runCampaignArtifacts executes spec and captures the full artifact
 // set: result JSONL and CSV from the streaming sinks, the trace JSONL
 // from a run-wide writer, and the wall-quarantine-filtered Prometheus
-// exposition of the fleet registry.
+// exposition of the run's campaign.Metrics registry.
 func runCampaignArtifacts(t *testing.T, spec campaign.Spec, workers int) campaignArtifacts {
 	t.Helper()
 	var jb, cb, tb bytes.Buffer
 	tw := obs.NewWriter(&tb)
-	reg := metrics.New()
+	m := campaign.NewMetrics()
 	col := &campaign.Collector{}
 	if _, err := campaign.Run(context.Background(), spec, Execute, campaign.Options{
-		Workers:  workers,
-		Sinks:    []campaign.Sink{&campaign.JSONLSink{W: &jb}, &campaign.CSVSink{W: &cb}, col},
-		Trace:    tw,
-		Registry: reg,
+		Workers: workers,
+		Sinks:   []campaign.Sink{&campaign.JSONLSink{W: &jb}, &campaign.CSVSink{W: &cb}, col},
+		Trace:   tw,
+		Metrics: m,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func runCampaignArtifacts(t *testing.T, spec campaign.Spec, workers int) campaig
 		t.Fatal(err)
 	}
 	var pb bytes.Buffer
-	if err := metrics.WriteProm(&pb, metrics.Deterministic(reg.Snapshot())); err != nil {
+	if err := metrics.WriteProm(&pb, metrics.Deterministic(m.Registry().Snapshot())); err != nil {
 		t.Fatal(err)
 	}
 	return campaignArtifacts{

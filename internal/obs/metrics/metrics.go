@@ -134,6 +134,14 @@ func (h *Histogram) Count() uint64 {
 	return n
 }
 
+// Sum returns the sum of observed values (0 on nil).
+func (h *Histogram) Sum() uint64 {
+	if h == nil {
+		return 0
+	}
+	return h.sum.Load()
+}
+
 // ExpBuckets returns n exponentially spaced integer bounds
 // {start, start·factor, start·factor², …}.
 func ExpBuckets(start, factor uint64, n int) []uint64 {

@@ -82,6 +82,16 @@ for series in campaignd_jobs_done_total campaignd_results_ingested_total \
 done
 echo "OK: /metrics reconciles ($EXPECTED_ROWS jobs) and serves the fleet series"
 
+# The JSON status and the expvar counter set are views over the same
+# shard tables, so after the merge they must read the same job count.
+STATUS_DONE="$(curl -fs "http://$ADDR/api/v1/status" | grep -o '"jobs_done":[0-9]*' | head -n 1 | cut -d: -f2)"
+VARS_DONE="$(curl -fs "http://$ADDR/debug/vars" | grep '^"campaignd":' | grep -o '"jobs_done":[0-9]*' | cut -d: -f2)"
+if [ "${STATUS_DONE:-}" != "$EXPECTED_ROWS" ] || [ "${VARS_DONE:-}" != "$EXPECTED_ROWS" ]; then
+  echo "FAIL: /api/v1/status jobs_done=${STATUS_DONE:-missing}, /debug/vars campaignd.jobs_done=${VARS_DONE:-missing}; want $EXPECTED_ROWS" >&2
+  exit 1
+fi
+echo "OK: /api/v1/status and /debug/vars report $EXPECTED_ROWS jobs done"
+
 # Drain-mode workers exit on their own once the coordinator reports
 # every campaign merged.
 for pid in "${WORKER_PIDS[@]}"; do
